@@ -204,11 +204,15 @@ Status Auditor::EnsureTableRegistered(const std::string& table_name) {
 
 trace::NodeId Auditor::TupleNode(const TupleVid& vid,
                                  const std::string& table) {
-  return trace_.GetOrAddNode(
-      trace::NodeType::kTuple,
-      StrFormat("%s#%lld.v%lld", table.c_str(),
-                static_cast<long long>(vid.rowid),
-                static_cast<long long>(vid.version)));
+  auto [it, inserted] = tuple_nodes_.try_emplace(vid, trace::kInvalidNode);
+  if (inserted) {
+    it->second = trace_.GetOrAddNode(
+        trace::NodeType::kTuple,
+        StrFormat("%s#%lld.v%lld", table.c_str(),
+                  static_cast<long long>(vid.rowid),
+                  static_cast<long long>(vid.version)));
+  }
+  return it->second;
 }
 
 Result<std::ofstream*> Auditor::StreamFor(const std::string& relative_path) {
@@ -240,11 +244,17 @@ Status Auditor::PersistProvTuple(const exec::ProvTupleRecord& tuple) {
       StreamFor(std::string(kTupleDataDir) + "/" + tuple.table + ".csv"));
   out->write(row.data().data(),
              static_cast<std::streamsize>(row.data().size()));
-  out->flush();
-  if (!*out) return Status::IOError("short write to packaged tuple file");
   ++tuples_per_table_[tuple.table];
   ++report_.tuples_persisted;
   tuples_metric_->Add(1);
+  return Status::Ok();
+}
+
+Status Auditor::FlushStreams() {
+  for (auto& [path, stream] : streams_) {
+    stream->flush();
+    if (!*stream) return Status::IOError("short write to package file " + path);
+  }
   return Status::Ok();
 }
 
@@ -286,6 +296,7 @@ Status Auditor::OnDbStatement(const DbStatementRecord& record) {
     if (created_vids_.contains(tuple.vid)) continue;
     LDV_RETURN_IF_ERROR(PersistProvTuple(tuple));
   }
+  LDV_RETURN_IF_ERROR(FlushStreams());
 
   const bool tuples_in_trace = options_.record_tuple_nodes;
   std::unordered_map<TupleVid, trace::NodeId, storage::TupleVidHash>

@@ -119,10 +119,14 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   /// to the package.
   Status OnDbStatement(const DbStatementRecord& record);
 
+  /// Appends one tuple to its table's CSV stream; FlushStreams() pushes the
+  /// statement's tuples out and reports a short write.
   Status PersistProvTuple(const exec::ProvTupleRecord& tuple);
+  Status FlushStreams();
   /// Open-once appender for package files streamed during the run (the
   /// per-table tuple CSVs and the replay log).
   Result<std::ofstream*> StreamFor(const std::string& relative_path);
+  /// The trace node of a tuple version, created on first use.
   trace::NodeId TupleNode(const storage::TupleVid& vid,
                           const std::string& table);
   Status FinalizePackage();
@@ -144,6 +148,9 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   std::unordered_set<storage::TupleVid, storage::TupleVidHash> created_vids_;
   // Tuple versions already persisted (the §VII-D in-memory dedup table).
   std::unordered_set<storage::TupleVid, storage::TupleVidHash> persisted_vids_;
+  // Trace node of each tuple version seen so far (TupleNode's cache).
+  std::unordered_map<storage::TupleVid, trace::NodeId, storage::TupleVidHash>
+      tuple_nodes_;
   std::unordered_set<std::string> registered_tables_;
   std::vector<PackageManifest::TableEntry> table_entries_;
   std::unordered_map<std::string, int64_t> tuples_per_table_;

@@ -5,34 +5,22 @@
 #include "util/strings.h"
 
 namespace ldv::trace {
-namespace {
-
-std::string NodeKey(NodeType type, const std::string& label) {
-  return std::to_string(static_cast<int>(type)) + "/" + label;
-}
-
-std::string EdgeKey(NodeId from, NodeId to, EdgeType type) {
-  return std::to_string(from) + ">" + std::to_string(to) + "#" +
-         std::to_string(static_cast<int>(type));
-}
-
-}  // namespace
 
 NodeId TraceGraph::GetOrAddNode(NodeType type, const std::string& label) {
-  std::string key = NodeKey(type, label);
-  auto it = node_index_.find(key);
-  if (it != node_index_.end()) return it->second;
-  NodeId id = static_cast<NodeId>(nodes_.size());
-  nodes_.push_back({type, label});
-  in_edges_.emplace_back();
-  out_edges_.emplace_back();
-  node_index_.emplace(std::move(key), id);
-  return id;
+  auto [it, inserted] = node_index_[static_cast<size_t>(type)].try_emplace(
+      label, static_cast<NodeId>(nodes_.size()));
+  if (inserted) {
+    nodes_.push_back({type, label});
+    in_edges_.emplace_back();
+    out_edges_.emplace_back();
+  }
+  return it->second;
 }
 
 NodeId TraceGraph::FindNode(NodeType type, const std::string& label) const {
-  auto it = node_index_.find(NodeKey(type, label));
-  return it == node_index_.end() ? kInvalidNode : it->second;
+  const auto& index = node_index_[static_cast<size_t>(type)];
+  auto it = index.find(label);
+  return it == index.end() ? kInvalidNode : it->second;
 }
 
 Status TraceGraph::AddEdge(NodeId from, NodeId to, EdgeType type,
@@ -56,41 +44,47 @@ Status TraceGraph::AddEdge(NodeId from, NodeId to, EdgeType type,
   edges_.push_back({from, to, type, t});
   out_edges_[static_cast<size_t>(from)].push_back(index);
   in_edges_[static_cast<size_t>(to)].push_back(index);
-  edge_index_[EdgeKey(from, to, type)] = index;
   return Status::Ok();
 }
 
 Status TraceGraph::MergeEdge(NodeId from, NodeId to, EdgeType type,
                              os::Interval t) {
-  auto it = edge_index_.find(EdgeKey(from, to, type));
-  if (it != edge_index_.end()) {
-    TraceEdge& edge = edges_[static_cast<size_t>(it->second)];
-    edge.t.begin = std::min(edge.t.begin, t.begin);
-    edge.t.end = std::max(edge.t.end, t.end);
-    return Status::Ok();
+  if (from >= 0 && to >= 0 && from < num_nodes() && to < num_nodes()) {
+    const std::vector<int32_t>& outs = OutEdges(from);
+    const std::vector<int32_t>& ins = InEdges(to);
+    const std::vector<int32_t>& scan = outs.size() <= ins.size() ? outs : ins;
+    for (auto it = scan.rbegin(); it != scan.rend(); ++it) {  // newest first
+      TraceEdge& edge = edges_[static_cast<size_t>(*it)];
+      if (edge.from == from && edge.to == to && edge.type == type) {
+        edge.t.begin = std::min(edge.t.begin, t.begin);
+        edge.t.end = std::max(edge.t.end, t.end);
+        return Status::Ok();
+      }
+    }
   }
   return AddEdge(from, to, type, t);
 }
 
 void TraceGraph::AddTupleDependency(NodeId out_tuple, NodeId in_tuple) {
-  std::vector<NodeId>& deps = tuple_deps_[out_tuple];
+  if (out_tuple < 0 || out_tuple >= num_nodes()) return;  // not a node
+  size_t slot = static_cast<size_t>(out_tuple);
+  if (slot >= tuple_deps_.size()) tuple_deps_.resize(slot + 1);
+  std::vector<NodeId>& deps = tuple_deps_[slot];
   if (std::find(deps.begin(), deps.end(), in_tuple) == deps.end()) {
     deps.push_back(in_tuple);
   }
 }
 
 bool TraceGraph::HasTupleDependency(NodeId out_tuple, NodeId in_tuple) const {
-  auto it = tuple_deps_.find(out_tuple);
-  if (it == tuple_deps_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), in_tuple) !=
-         it->second.end();
+  const std::vector<NodeId>& deps = TupleDependenciesOf(out_tuple);
+  return std::find(deps.begin(), deps.end(), in_tuple) != deps.end();
 }
 
 const std::vector<NodeId>& TraceGraph::TupleDependenciesOf(
     NodeId out_tuple) const {
   static const std::vector<NodeId> kEmpty;
-  auto it = tuple_deps_.find(out_tuple);
-  return it == tuple_deps_.end() ? kEmpty : it->second;
+  size_t slot = static_cast<size_t>(out_tuple);
+  return slot < tuple_deps_.size() ? tuple_deps_[slot] : kEmpty;
 }
 
 std::vector<NodeId> TraceGraph::NodesOfType(NodeType type) const {
@@ -119,10 +113,10 @@ std::string TraceGraph::ToDot() const {
                      static_cast<long long>(e.t.begin),
                      static_cast<long long>(e.t.end));
   }
-  for (const auto& [out_tuple, deps] : tuple_deps_) {
-    for (NodeId dep : deps) {
-      out += StrFormat("  n%d -> n%d [style=dashed, label=\"dep\"];\n",
-                       out_tuple, dep);
+  for (NodeId id = 0; id < num_nodes(); ++id) {
+    for (NodeId dep : TupleDependenciesOf(id)) {
+      out += StrFormat("  n%d -> n%d [style=dashed, label=\"dep\"];\n", id,
+                       dep);
     }
   }
   out += "}\n";

@@ -1,6 +1,7 @@
 #ifndef LDV_TRACE_GRAPH_H_
 #define LDV_TRACE_GRAPH_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -50,11 +51,13 @@ class TraceGraph {
 
   /// Like AddEdge but merges with an existing (from, to, type) edge by
   /// extending its interval — the PTU convention of annotating a
-  /// process-file edge with [first open, last close] (§VII-A).
+  /// process-file edge with [first open, last close] (§VII-A). Of several
+  /// identical edges the most recently added one is extended. Costs
+  /// O(min(out-degree(from), in-degree(to))).
   Status MergeEdge(NodeId from, NodeId to, EdgeType type, os::Interval t);
 
   /// Records a direct P_Lin data dependency: `out_tuple` depends on
-  /// `in_tuple` (Definition 7).
+  /// `in_tuple` (Definition 7). Ignored when `out_tuple` is not a node.
   void AddTupleDependency(NodeId out_tuple, NodeId in_tuple);
   bool HasTupleDependency(NodeId out_tuple, NodeId in_tuple) const;
   const std::vector<NodeId>& TupleDependenciesOf(NodeId out_tuple) const;
@@ -86,10 +89,11 @@ class TraceGraph {
   std::vector<TraceEdge> edges_;
   std::vector<std::vector<int32_t>> in_edges_;
   std::vector<std::vector<int32_t>> out_edges_;
-  std::unordered_map<std::string, NodeId> node_index_;  // "type/label" -> id
-  std::unordered_map<NodeId, std::vector<NodeId>> tuple_deps_;
-  // (from, to, type) -> edge index, for MergeEdge.
-  std::unordered_map<std::string, int32_t> edge_index_;
+  // label -> id, one map per NodeType.
+  std::array<std::unordered_map<std::string, NodeId>, kNumNodeTypes>
+      node_index_;
+  // Indexed by the dependent node; grown on demand.
+  std::vector<std::vector<NodeId>> tuple_deps_;
 };
 
 }  // namespace ldv::trace

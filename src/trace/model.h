@@ -19,6 +19,7 @@ enum class NodeType : uint8_t {
   kDelete = 5,   // activity (DB)
   kTuple = 6,    // entity (DB)
 };
+inline constexpr int kNumNodeTypes = 7;
 
 /// Which provenance model a node belongs to (Definition 5 keeps them
 /// disjoint; cross-model links use the dedicated edge types below).

@@ -50,6 +50,9 @@ Result<TraceGraph> DeserializeTrace(std::string_view bytes) {
   for (int64_t i = 0; i < num_nodes; ++i) {
     LDV_ASSIGN_OR_RETURN(uint8_t type, r.GetU8());
     LDV_ASSIGN_OR_RETURN(std::string label, r.GetString());
+    if (type >= kNumNodeTypes) {
+      return Status::IOError("unknown node type in serialized trace");
+    }
     NodeId id = graph.GetOrAddNode(static_cast<NodeType>(type), label);
     if (id != static_cast<NodeId>(i)) {
       return Status::IOError("duplicate node in serialized trace");
@@ -71,6 +74,10 @@ Result<TraceGraph> DeserializeTrace(std::string_view bytes) {
   for (int64_t i = 0; i < num_pairs; ++i) {
     LDV_ASSIGN_OR_RETURN(int64_t out_tuple, r.GetVarint());
     LDV_ASSIGN_OR_RETURN(int64_t in_tuple, r.GetVarint());
+    if (out_tuple < 0 || in_tuple < 0 || out_tuple >= num_nodes ||
+        in_tuple >= num_nodes) {
+      return Status::IOError("tuple dependency names an unknown node");
+    }
     graph.AddTupleDependency(static_cast<NodeId>(out_tuple),
                              static_cast<NodeId>(in_tuple));
   }

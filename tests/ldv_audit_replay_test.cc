@@ -6,7 +6,11 @@
 #include "ldv/replayer.h"
 #include "net/db_server.h"
 #include "trace/inference.h"
+#include "tpch/app.h"
+#include "tpch/generator.h"
+#include "tpch/queries.h"
 #include "trace/serialize.h"
+#include "util/crc32.h"
 #include "util/csv.h"
 #include "util/fsutil.h"
 #include "util/rng.h"
@@ -309,6 +313,28 @@ TEST_F(AuditReplayTest, PackagedTraceDeserializesAndLinksModels) {
   EXPECT_TRUE(analyzer.Depends(output, input));
 }
 
+TEST_F(AuditReplayTest, TupleReadByTwoSelectsIsOneNodeWithAnEdgePerRead) {
+  // Both executions of "val BETWEEN 50 AND 80" read the pre-existing
+  // version of rowid 5; nothing else touches that row.
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "reads"));
+  ASSERT_TRUE(auditor.Run(TestApp(nullptr)).ok());
+  const trace::TraceGraph& graph = auditor.trace_graph();
+  std::vector<trace::NodeId> row5;
+  for (trace::NodeId id : graph.NodesOfType(trace::NodeType::kTuple)) {
+    if (StartsWith(graph.node(id).label, "items#5.v")) row5.push_back(id);
+  }
+  ASSERT_EQ(row5.size(), 1u);
+  std::vector<trace::NodeId> readers;
+  for (int32_t e : graph.OutEdges(row5[0])) {
+    const trace::TraceEdge& edge = graph.edges()[static_cast<size_t>(e)];
+    ASSERT_EQ(edge.type, trace::EdgeType::kHasRead);
+    EXPECT_EQ(graph.node(edge.to).type, trace::NodeType::kQuery);
+    readers.push_back(edge.to);
+  }
+  ASSERT_EQ(readers.size(), 2u);
+  EXPECT_NE(readers[0], readers[1]);
+}
+
 TEST_F(AuditReplayTest, SocketBackedAuditMatchesInProcessAudit) {
   // The paper's deployment: the application talks to the DB server over a
   // socket; the instrumented client library sits in between. Auditing over
@@ -519,6 +545,48 @@ TEST_P(RandomizedReplayTest, BothPackageTypesReplayFaithfully) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedReplayTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+// Pins the serialized trace of a deterministic server-included audit of a
+// small TPC-H run, so any change in node or edge order, labels or intervals
+// fails loudly. Update the constant only for an intended format change.
+TEST(ServerIncludedTraceTest, TpchTraceBytesArePinned) {
+  auto base = MakeTempDir("ldv_pin_");
+  ASSERT_TRUE(base.ok());
+  Database db;
+  tpch::GenOptions gen;
+  gen.scale_factor = 0.001;
+  ASSERT_TRUE(tpch::Generate(&db, gen).ok());
+  auto query = tpch::FindQuery("Q2-4");
+  ASSERT_TRUE(query.ok());
+  tpch::AppOptions app;
+  app.query_sql = query->sql;
+  app.num_inserts = 20;
+  app.num_selects = 2;
+  app.num_updates = 10;
+  tpch::TpchSizes sizes = tpch::SizesFor(gen.scale_factor);
+  app.insert_orderkey_base = sizes.orders;
+  app.update_orderkey_max = sizes.orders;
+  app.customer_max = sizes.customers;
+
+  AuditOptions options;
+  options.mode = PackageMode::kServerIncluded;
+  options.package_dir = *base + "/pkg";
+  options.sandbox_root = *base + "/sandbox";
+  ASSERT_TRUE(MakeDirs(options.sandbox_root).ok());
+  Auditor auditor(&db, options);
+  auto report = auditor.Run(tpch::MakeExperimentApp(app, nullptr));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  std::string bytes = trace::SerializeTrace(auditor.trace_graph());
+  auto packaged = ReadFileToString(*base + "/pkg/trace.ldv");
+  ASSERT_TRUE(packaged.ok());
+  EXPECT_EQ(*packaged, bytes);
+  EXPECT_EQ(report->trace_nodes, 12967);
+  EXPECT_EQ(report->trace_edges, 25871);
+  EXPECT_EQ(bytes.size(), 455863u);
+  EXPECT_EQ(Crc32(bytes), 0xD8FD8103u);
+  ASSERT_TRUE(RemoveAll(*base).ok());
+}
 
 }  // namespace
 }  // namespace ldv

@@ -5,6 +5,7 @@
 #include "common/json.h"
 #include "trace/prov_export.h"
 #include "trace/serialize.h"
+#include "util/strings.h"
 
 namespace ldv::trace {
 namespace {
@@ -95,6 +96,94 @@ TEST(TraceGraphTest, MergeEdgeExtendsInterval) {
   ASSERT_EQ(g.num_edges(), 1);
   EXPECT_EQ(g.edges()[0].t.begin, 1);
   EXPECT_EQ(g.edges()[0].t.end, 12);
+}
+
+TEST(TraceGraphTest, MergeEdgeExtendsTheLaterOfTwoIdenticalEdges) {
+  TraceGraph g;
+  NodeId file = g.GetOrAddNode(NodeType::kFile, "f");
+  NodeId proc = g.GetOrAddNode(NodeType::kProcess, "p");
+  ASSERT_TRUE(g.AddEdge(file, proc, EdgeType::kReadFrom, {1, 2}).ok());
+  ASSERT_TRUE(g.AddEdge(file, proc, EdgeType::kReadFrom, {3, 4}).ok());
+  ASSERT_TRUE(g.MergeEdge(file, proc, EdgeType::kReadFrom, {10, 12}).ok());
+  ASSERT_EQ(g.num_edges(), 2);
+  EXPECT_EQ(g.edges()[0].t.begin, 1);
+  EXPECT_EQ(g.edges()[0].t.end, 2);
+  EXPECT_EQ(g.edges()[1].t.begin, 3);
+  EXPECT_EQ(g.edges()[1].t.end, 12);
+}
+
+TEST(TraceGraphTest, MergeEdgeBetweenHighDegreeEndpoints) {
+  // A statement that read 10k tuples, one of which was also read by nine
+  // other statements; and a tuple read by 10k statements, one of which read
+  // nine other tuples. Merging must find the one matching edge either way.
+  TraceGraph g;
+  NodeId big_stmt = g.GetOrAddNode(NodeType::kQuery, "big");
+  NodeId hot = g.GetOrAddNode(NodeType::kTuple, "hot");
+  std::vector<NodeId> tuples;
+  for (int i = 0; i < 10000; ++i) {
+    tuples.push_back(g.GetOrAddNode(NodeType::kTuple, StrFormat("t%d", i)));
+    ASSERT_TRUE(
+        g.AddEdge(tuples.back(), big_stmt, EdgeType::kHasRead, {5, 5}).ok());
+  }
+  std::vector<NodeId> stmts;
+  for (int i = 0; i < 10000; ++i) {
+    stmts.push_back(g.GetOrAddNode(NodeType::kQuery, StrFormat("s%d", i)));
+    ASSERT_TRUE(g.AddEdge(hot, stmts.back(), EdgeType::kHasRead, {5, 5}).ok());
+  }
+  for (size_t i = 1; i < 10; ++i) {
+    ASSERT_TRUE(
+        g.AddEdge(tuples[0], stmts[i], EdgeType::kHasRead, {5, 5}).ok());
+    ASSERT_TRUE(
+        g.AddEdge(tuples[i], stmts[0], EdgeType::kHasRead, {5, 5}).ok());
+  }
+  ASSERT_EQ(g.OutEdges(tuples[0]).size(), 10u);
+  ASSERT_EQ(g.InEdges(stmts[0]).size(), 10u);
+  const int64_t edges_before = g.num_edges();
+
+  auto interval_between = [&](NodeId from, NodeId to) -> os::Interval {
+    for (int32_t e : g.OutEdges(from)) {
+      const TraceEdge& edge = g.edges()[static_cast<size_t>(e)];
+      if (edge.to == to) return edge.t;
+    }
+    return {-1, -1};
+  };
+  // Short side is the tuple's out-edges.
+  ASSERT_TRUE(
+      g.MergeEdge(tuples[0], big_stmt, EdgeType::kHasRead, {2, 9}).ok());
+  // Short side is the statement's in-edges.
+  ASSERT_TRUE(g.MergeEdge(hot, stmts[0], EdgeType::kHasRead, {1, 7}).ok());
+  // A matching edge deep in the long list, reached from the short side.
+  ASSERT_TRUE(
+      g.MergeEdge(tuples[5000], big_stmt, EdgeType::kHasRead, {5, 6}).ok());
+  EXPECT_EQ(g.num_edges(), edges_before);
+  EXPECT_EQ(interval_between(tuples[0], big_stmt).begin, 2);
+  EXPECT_EQ(interval_between(tuples[0], big_stmt).end, 9);
+  EXPECT_EQ(interval_between(hot, stmts[0]).begin, 1);
+  EXPECT_EQ(interval_between(hot, stmts[0]).end, 7);
+  EXPECT_EQ(interval_between(tuples[5000], big_stmt).end, 6);
+  EXPECT_EQ(interval_between(tuples[1], big_stmt).end, 5);
+
+  // No (hot, big_stmt) edge exists yet: merging adds one.
+  ASSERT_TRUE(g.MergeEdge(hot, big_stmt, EdgeType::kHasRead, {8, 8}).ok());
+  EXPECT_EQ(g.num_edges(), edges_before + 1);
+  EXPECT_EQ(g.edges().back().from, hot);
+  EXPECT_EQ(g.edges().back().to, big_stmt);
+}
+
+TEST(TraceGraphTest, SameLabelUnderEveryNodeTypeGivesDistinctNodes) {
+  TraceGraph g;
+  std::vector<NodeId> ids;
+  for (int type = 0; type < kNumNodeTypes; ++type) {
+    ids.push_back(g.GetOrAddNode(static_cast<NodeType>(type), "same"));
+  }
+  EXPECT_EQ(g.num_nodes(), kNumNodeTypes);
+  for (int type = 0; type < kNumNodeTypes; ++type) {
+    NodeId id = ids[static_cast<size_t>(type)];
+    EXPECT_EQ(g.FindNode(static_cast<NodeType>(type), "same"), id);
+    EXPECT_EQ(g.node(id).type, static_cast<NodeType>(type));
+    EXPECT_EQ(g.node(id).label, "same");
+  }
+  EXPECT_EQ(g.FindNode(NodeType::kTuple, "other"), kInvalidNode);
 }
 
 TEST(TraceGraphTest, TupleDependencies) {
@@ -225,6 +314,41 @@ TEST(ProvExportTest, Figure2ExportsAsValidProvJson) {
     EXPECT_LE(record.GetInt("ldv:begin", 99), record.GetInt("ldv:end", 0));
   }
   EXPECT_NE(text.find("\"prov:type\": \"ldv:query\""), std::string::npos);
+}
+
+TEST(TraceSerializeTest, ReserializationIsByteIdentical) {
+  TraceGraph g = BuildFigure2Trace();
+  NodeId file_a = g.FindNode(NodeType::kFile, "A");
+  NodeId p1 = g.FindNode(NodeType::kProcess, "P1");
+  NodeId t1 = g.FindNode(NodeType::kTuple, "t1");
+  NodeId query = g.FindNode(NodeType::kQuery, "Query");
+  // A duplicate edge, then merges that extend the later copy and an
+  // existing single edge.
+  ASSERT_TRUE(g.AddEdge(file_a, p1, EdgeType::kReadFrom, {20, 21}).ok());
+  ASSERT_TRUE(g.MergeEdge(file_a, p1, EdgeType::kReadFrom, {19, 30}).ok());
+  ASSERT_TRUE(g.MergeEdge(t1, query, EdgeType::kHasRead, {2, 40}).ok());
+  std::string bytes = SerializeTrace(g);
+  auto restored = DeserializeTrace(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(SerializeTrace(*restored), bytes);
+  EXPECT_EQ(restored->num_edges(), 16);
+}
+
+TEST(TraceSerializeTest, RejectsUnknownNodeTypeAndDanglingDependency) {
+  TraceGraph g;
+  g.GetOrAddNode(NodeType::kTuple, "t");
+  std::string bytes = SerializeTrace(g);
+  // Layout: magic(4) node-count(1) type(1) ...
+  std::string bad_type = bytes;
+  bad_type[5] = static_cast<char>(kNumNodeTypes);
+  EXPECT_FALSE(DeserializeTrace(bad_type).ok());
+  // Replace the empty dependency list with the pair (0, 7); varints are
+  // zigzag-encoded, so 1 -> 0x02 and 7 -> 0x0E.
+  std::string dangling = bytes.substr(0, bytes.size() - 1);
+  dangling += std::string("\x02\x00\x0E", 3);
+  EXPECT_FALSE(DeserializeTrace(dangling).ok());
+  dangling.back() = '\x00';  // (0, 0) names an existing node
+  EXPECT_TRUE(DeserializeTrace(dangling).ok());
 }
 
 }  // namespace
