@@ -62,7 +62,7 @@ bool Fill(Executor* exec) {
 }
 
 /// Input rows per second: one warmup run, then repeat until kRunNanos.
-double RowsPerSec(Executor* exec, const std::string& sql, int vectorize) {
+double RowsPerSec(Executor* exec, const std::string& sql, bool vectorize) {
   ExecOptions options;
   options.threads = 1;  // the speedup must come from batching, not fan-out
   options.vectorize = vectorize;
@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
 
   ldv::Json kernels_doc = ldv::Json::MakeObject();
   for (const Kernel& kernel : kernels) {
-    const double vec = RowsPerSec(&exec, kernel.sql, /*vectorize=*/1);
-    const double row = RowsPerSec(&exec, kernel.sql, /*vectorize=*/-1);
+    const double vec = RowsPerSec(&exec, kernel.sql, /*vectorize=*/true);
+    const double row = RowsPerSec(&exec, kernel.sql, /*vectorize=*/false);
     const double ratio = vec / row;
     std::printf("bench_vector: %-16s vectorized %12.0f rows/s  row %12.0f"
                 " rows/s  = %.2fx\n",

@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_set>
 
 #include "common/clock.h"
@@ -25,40 +24,37 @@ using storage::Value;
 
 namespace {
 
-std::atomic<bool> g_default_vectorize{true};
-
-/// Resolves the tri-state ExecOptions::vectorize against the process
-/// default.
-bool ResolveVectorize(const ExecOptions& options) {
-  if (options.vectorize != 0) return options.vectorize > 0;
-  return g_default_vectorize.load(std::memory_order_relaxed);
-}
-
 obs::Counter* VectorizedQueriesCounter() {
   static obs::Counter* counter =
       obs::MetricsRegistry::Global().counter("exec.vectorized.queries");
   return counter;
 }
 
-/// Runs the plan through the engine the options select. Both engines
-/// produce bit-identical rows, lineage, and ordering at any DOP; the
-/// columnar result converts back to rows at the root.
-Result<Batch> RunPlanRoot(PlanNode* root, ExecContext* ctx,
-                          const ExecOptions& options) {
-  if (!ResolveVectorize(options)) return root->Execute(ctx);
+}  // namespace
+
+ExecContext MakeExecContext(storage::Database* db,
+                            const ExecOptions& options) {
+  ExecContext ctx;
+  ctx.db = db;
+  ctx.query_id = options.query_id;
+  ctx.process_id = options.process_id;
+  ctx.governor = options.governor;
+  ctx.snapshot_epoch = options.snapshot_epoch;
+  const int dop =
+      options.threads > 0 ? options.threads : ThreadPool::default_dop();
+  if (dop > 1) {
+    ctx.pool = ThreadPool::Shared();
+    ctx.dop = dop;
+  }
+  return ctx;
+}
+
+Result<Batch> RunPlan(PlanNode* root, ExecContext* ctx,
+                      const ExecOptions& options) {
+  if (!options.vectorize) return root->Execute(ctx);
   VectorizedQueriesCounter()->Add(1);
   LDV_ASSIGN_OR_RETURN(ColumnarResult columnar, root->ExecuteColumnar(ctx));
   return ColumnarToRows(ctx, nullptr, std::move(columnar));
-}
-
-}  // namespace
-
-void SetDefaultVectorize(bool on) {
-  g_default_vectorize.store(on, std::memory_order_relaxed);
-}
-
-bool DefaultVectorize() {
-  return g_default_vectorize.load(std::memory_order_relaxed);
 }
 
 uint64_t ResultSet::Fingerprint() const {
@@ -329,22 +325,11 @@ Result<ResultSet> Executor::ExecSelect(const sql::SelectStmt& select,
   }
 
   LDV_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(db_, *effective));
-  ExecContext ctx;
-  ctx.db = db_;
+  ExecContext ctx = MakeExecContext(db_, options);
   ctx.track_lineage = provenance;
   ctx.profile = options.profile;
-  ctx.query_id = options.query_id;
-  ctx.process_id = options.process_id;
-  ctx.governor = options.governor;
-  ctx.snapshot_epoch = options.snapshot_epoch;
-  const int dop =
-      options.threads > 0 ? options.threads : ThreadPool::default_dop();
-  if (dop > 1) {
-    ctx.pool = ThreadPool::Shared();
-    ctx.dop = dop;
-  }
   const int64_t exec_start = options.profile ? NowNanos() : 0;
-  LDV_ASSIGN_OR_RETURN(Batch batch, RunPlanRoot(plan.root.get(), &ctx, options));
+  LDV_ASSIGN_OR_RETURN(Batch batch, RunPlan(plan.root.get(), &ctx, options));
   ResultSet result;
   result.schema = std::move(plan.output_schema);
   result.rows = std::move(batch.rows);
@@ -386,21 +371,10 @@ Result<ResultSet> Executor::ExecSelect(const sql::SelectStmt& select,
 Result<ResultSet> Executor::ExecutePlanned(SelectPlan& plan,
                                            const Tuple& params,
                                            const ExecOptions& options) {
-  ExecContext ctx;
-  ctx.db = db_;
+  ExecContext ctx = MakeExecContext(db_, options);
   ctx.params = &params;
   ctx.frozen_plan = true;
-  ctx.query_id = options.query_id;
-  ctx.process_id = options.process_id;
-  ctx.governor = options.governor;
-  ctx.snapshot_epoch = options.snapshot_epoch;
-  const int dop =
-      options.threads > 0 ? options.threads : ThreadPool::default_dop();
-  if (dop > 1) {
-    ctx.pool = ThreadPool::Shared();
-    ctx.dop = dop;
-  }
-  LDV_ASSIGN_OR_RETURN(Batch batch, RunPlanRoot(plan.root.get(), &ctx, options));
+  LDV_ASSIGN_OR_RETURN(Batch batch, RunPlan(plan.root.get(), &ctx, options));
   ResultSet result;
   result.schema = plan.output_schema;  // copy: the plan stays shared
   result.rows = std::move(batch.rows);

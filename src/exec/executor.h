@@ -70,8 +70,8 @@ struct ExecOptions {
   /// Degree of parallelism for morsel-driven operators: number of threads
   /// (including the caller) a SELECT may use. 0 = the process default
   /// (ThreadPool::default_dop(), i.e. the --threads flag), 1 = serial.
-  /// Results are bit-identical at any value. DML, reenactment, and WAL redo
-  /// always run serial regardless (DESIGN.md §10).
+  /// Results are bit-identical at any value. UPDATE/DELETE fan out only
+  /// their pre-state scan; their mutations stay serial (DESIGN.md §10).
   int threads = 0;
   /// Cooperative cancellation token + memory budget for this statement; may
   /// be null (internal statements run ungoverned). Owned by the caller and
@@ -80,15 +80,23 @@ struct ExecOptions {
   /// Read at this snapshot epoch instead of the live state (DESIGN.md §12).
   /// Set by the engine's concurrent read path; 0 = live state.
   int64_t snapshot_epoch = 0;
-  /// Vectorized columnar execution (DESIGN.md §15): 0 = the process default
-  /// (SetDefaultVectorize, i.e. the --no-vectorize flag), 1 = on, -1 = off.
-  /// Results are bit-identical either way; this only selects the engine.
-  int vectorize = 0;
+  /// Vectorized columnar execution (DESIGN.md §15). Off selects the row
+  /// engine, kept only as the reference the differential tests and
+  /// bench_vector compare against; results are bit-identical either way.
+  bool vectorize = true;
 };
 
-/// Process-wide default for ExecOptions::vectorize == 0 (starts true).
-void SetDefaultVectorize(bool on);
-bool DefaultVectorize();
+/// The context a statement executes in: `db`, the client-assigned ids, the
+/// governor, the snapshot epoch, and the shared pool at the statement's
+/// degree of parallelism. Callers add what is statement-specific (lineage,
+/// profiling, bound parameters).
+ExecContext MakeExecContext(storage::Database* db, const ExecOptions& options);
+
+/// Runs a plan tree through the engine `options` selects and materializes
+/// the result as rows. The rows own their values: nothing in them points
+/// into table storage, so the caller may mutate the tables afterwards.
+Result<Batch> RunPlan(PlanNode* root, ExecContext* ctx,
+                      const ExecOptions& options);
 
 /// The query/DML engine over one Database. Statements carrying the
 /// PROVENANCE prefix additionally return Lineage (queries) or reenactment

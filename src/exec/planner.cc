@@ -30,16 +30,6 @@ class SingleRowNode final : public PlanNode {
   }
 };
 
-void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
-  if (expr == nullptr) return;
-  if (expr->kind == ExprKind::kBinary && expr->binary_op == BinaryOp::kAnd) {
-    SplitConjuncts(expr->children[0].get(), out);
-    SplitConjuncts(expr->children[1].get(), out);
-    return;
-  }
-  out->push_back(expr);
-}
-
 /// True if every column reference in `expr` resolves in `scope`.
 bool FullyResolvable(const Expr& expr, const Scope& scope) {
   std::vector<std::pair<std::string, std::string>> refs;
@@ -134,6 +124,51 @@ std::string OutputName(const sql::SelectItem& item) {
 
 }  // namespace
 
+void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
+  if (expr == nullptr) return;
+  if (expr->kind == ExprKind::kBinary && expr->binary_op == BinaryOp::kAnd) {
+    SplitConjuncts(expr->children[0].get(), out);
+    SplitConjuncts(expr->children[1].get(), out);
+    return;
+  }
+  out->push_back(expr);
+}
+
+Result<std::unique_ptr<ScanNode>> PlanTableScan(
+    storage::Table* table, const std::string& alias, bool expose_prov_columns,
+    const std::function<std::vector<const Expr*>(const Scope&)>&
+        pick_pushdown) {
+  auto scan = std::make_unique<ScanNode>(table, alias, expose_prov_columns);
+  const std::vector<const Expr*> pushdown = pick_pushdown(scan->scope());
+  if (pushdown.empty()) return scan;
+  LDV_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> filter,
+                       BindConjunction(pushdown, scan->scope()));
+  scan->set_filter(std::move(filter));
+  // Enables the hash-index access path when a pushed-down conjunct is an
+  // equality between an indexed column and a literal.
+  for (const Expr* e : pushdown) {
+    if (e->kind != ExprKind::kBinary || e->binary_op != BinaryOp::kEq) {
+      continue;
+    }
+    for (int side = 0; side < 2; ++side) {
+      const Expr* col = e->children[static_cast<size_t>(side)].get();
+      const Expr* lit = e->children[static_cast<size_t>(1 - side)].get();
+      if (col->kind != ExprKind::kColumnRef ||
+          lit->kind != ExprKind::kLiteral) {
+        continue;
+      }
+      int idx = table->schema().IndexOf(col->column);
+      if (idx < 0 || !table->HasIndexOn(idx)) continue;
+      Result<storage::Value> coerced =
+          CoerceValue(lit->literal, table->schema().column(idx).type);
+      if (!coerced.ok()) continue;
+      scan->set_index_probe(idx, std::move(coerced).value());
+      return scan;
+    }
+  }
+  return scan;
+}
+
 Result<SelectPlan> PlanSelect(storage::Database* db,
                               const SelectStmt& select) {
   // ---- Gather all column references (prov pseudo-column detection). ----
@@ -192,32 +227,6 @@ Result<SelectPlan> PlanSelect(storage::Database* db,
     return key_pairs;
   };
 
-  // Enables the hash-index access path when a pushed-down conjunct is an
-  // equality between an indexed column and a literal.
-  auto try_index_probe = [](ScanNode* scan, storage::Table* table,
-                            const std::vector<const Expr*>& pushdown) {
-    for (const Expr* e : pushdown) {
-      if (e->kind != ExprKind::kBinary || e->binary_op != BinaryOp::kEq) {
-        continue;
-      }
-      for (int side = 0; side < 2; ++side) {
-        const Expr* col = e->children[static_cast<size_t>(side)].get();
-        const Expr* lit = e->children[static_cast<size_t>(1 - side)].get();
-        if (col->kind != ExprKind::kColumnRef ||
-            lit->kind != ExprKind::kLiteral) {
-          continue;
-        }
-        int idx = table->schema().IndexOf(col->column);
-        if (idx < 0 || !table->HasIndexOn(idx)) continue;
-        Result<storage::Value> coerced =
-            CoerceValue(lit->literal, table->schema().column(idx).type);
-        if (!coerced.ok()) continue;
-        scan->set_index_probe(idx, std::move(coerced).value());
-        return;
-      }
-    }
-  };
-
   // ---- Scans with predicate pushdown, then left-deep joins. ----
   std::unique_ptr<PlanNode> current;
   // Non-null while the plan is a single scan whose output rows map 1:1 to
@@ -236,8 +245,6 @@ Result<SelectPlan> PlanSelect(storage::Database* db,
     }
     const std::string& alias = ref.EffectiveName();
     const bool is_left_join = ref.join_type == sql::JoinType::kLeft;
-    auto scan = std::make_unique<ScanNode>(table, alias,
-                                           wants_prov_columns(alias));
 
     // The ref's own ON condition (explicit JOIN syntax).
     std::vector<const Expr*> on_conjuncts;
@@ -247,27 +254,27 @@ Result<SelectPlan> PlanSelect(storage::Database* db,
     // Push down single-table conjuncts. WHERE conjuncts must not be pushed
     // below a LEFT JOIN's right side (they apply after null-padding); the
     // join's own ON conjuncts may.
-    std::vector<const Expr*> pushdown;
-    for (size_t c = 0; c < on_conjuncts.size(); ++c) {
-      if (!on_used[c] && FullyResolvable(*on_conjuncts[c], scan->scope())) {
-        pushdown.push_back(on_conjuncts[c]);
-        on_used[c] = true;
-      }
-    }
-    if (!is_left_join) {
-      for (size_t c = 0; c < conjuncts.size(); ++c) {
-        if (!used[c] && FullyResolvable(*conjuncts[c], scan->scope())) {
-          pushdown.push_back(conjuncts[c]);
-          used[c] = true;
+    auto pick_pushdown = [&](const Scope& scope) {
+      std::vector<const Expr*> pushdown;
+      for (size_t c = 0; c < on_conjuncts.size(); ++c) {
+        if (!on_used[c] && FullyResolvable(*on_conjuncts[c], scope)) {
+          pushdown.push_back(on_conjuncts[c]);
+          on_used[c] = true;
         }
       }
-    }
-    if (!pushdown.empty()) {
-      LDV_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> filter,
-                           BindConjunction(pushdown, scan->scope()));
-      scan->set_filter(std::move(filter));
-      try_index_probe(scan.get(), table, pushdown);
-    }
+      if (!is_left_join) {
+        for (size_t c = 0; c < conjuncts.size(); ++c) {
+          if (!used[c] && FullyResolvable(*conjuncts[c], scope)) {
+            pushdown.push_back(conjuncts[c]);
+            used[c] = true;
+          }
+        }
+      }
+      return pushdown;
+    };
+    LDV_ASSIGN_OR_RETURN(
+        std::unique_ptr<ScanNode> scan,
+        PlanTableScan(table, alias, wants_prov_columns(alias), pick_pushdown));
     if (current == nullptr) {
       if (ref.join_condition != nullptr) {
         return Status::InvalidArgument(

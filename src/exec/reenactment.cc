@@ -1,10 +1,10 @@
 #include "exec/reenactment.h"
 
 #include "exec/expression.h"
+#include "exec/planner.h"
 
 namespace ldv::exec {
 
-using storage::RowVersion;
 using storage::Table;
 using storage::Tuple;
 using storage::TupleVid;
@@ -12,116 +12,60 @@ using storage::Value;
 
 namespace {
 
-/// Binds an expression against `table`'s scope (columns + prov pseudo
-/// columns, qualified by `alias`).
-Result<std::unique_ptr<BoundExpr>> BindAgainstTable(const sql::Expr& expr,
-                                                    const Table& table,
-                                                    const std::string& alias) {
-  Scope scope;
-  for (const storage::Column& c : table.schema().columns()) {
-    scope.Add({alias, c.name, c.type, /*hidden=*/false});
-  }
-  scope.Add({alias, std::string(storage::kProvRowIdColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  scope.Add({alias, std::string(storage::kProvVersionColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  scope.Add({alias, std::string(storage::kProvUsedByColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  scope.Add({alias, std::string(storage::kProvProcessColumn),
-             storage::ValueType::kInt64, /*hidden=*/true});
-  return BindExpr(expr, scope);
-}
-
-Tuple RowWithProvColumns(const RowVersion& row) {
-  Tuple values = row.values;
-  values.push_back(Value::Int(row.rowid));
-  values.push_back(Value::Int(row.version));
-  values.push_back(Value::Int(row.used_by_query));
-  values.push_back(Value::Int(row.used_by_process));
-  return values;
-}
-
-/// Finds an equality between an indexed column of `table` and a literal in
-/// the top-level AND structure of `where`; returns (column, probe value) or
-/// column -1.
-std::pair<int, Value> FindIndexProbe(const Table& table,
-                                     const sql::Expr* where) {
-  if (where == nullptr) return {-1, Value::Null()};
-  if (where->kind == sql::ExprKind::kBinary &&
-      where->binary_op == sql::BinaryOp::kAnd) {
-    auto left = FindIndexProbe(table, where->children[0].get());
-    if (left.first >= 0) return left;
-    return FindIndexProbe(table, where->children[1].get());
-  }
-  if (where->kind != sql::ExprKind::kBinary ||
-      where->binary_op != sql::BinaryOp::kEq) {
-    return {-1, Value::Null()};
-  }
-  for (int side = 0; side < 2; ++side) {
-    const sql::Expr* col = where->children[static_cast<size_t>(side)].get();
-    const sql::Expr* lit =
-        where->children[static_cast<size_t>(1 - side)].get();
-    if (col->kind != sql::ExprKind::kColumnRef ||
-        lit->kind != sql::ExprKind::kLiteral) {
-      continue;
-    }
-    int idx = table.schema().IndexOf(col->column);
-    if (idx < 0 || !table.HasIndexOn(idx)) continue;
-    Result<Value> coerced =
-        exec::CoerceValue(lit->literal, table.schema().column(idx).type);
-    if (!coerced.ok()) continue;
-    return {idx, std::move(coerced).value()};
-  }
-  return {-1, Value::Null()};
-}
-
-/// Phase 1 of reenactment: evaluate the WHERE predicate against the
-/// pre-state and snapshot the matched versions. `probe` narrows the visited
-/// rows through the hash index when available.
-Result<std::vector<RowVersion>> MatchPreState(
-    Table* table, const BoundExpr* where,
-    const std::pair<int, Value>& probe) {
-  std::vector<RowVersion> matched;
-  auto consider = [&](const RowVersion& row) -> Status {
-    if (where != nullptr) {
-      Tuple values = RowWithProvColumns(row);
-      LDV_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, values));
-      if (!keep.IsTruthy()) return Status::Ok();
-    }
-    matched.push_back(row);
-    return Status::Ok();
-  };
-  if (probe.first >= 0) {
-    for (storage::RowId rowid : table->IndexLookup(probe.first, probe.second)) {
-      const RowVersion* row = table->Find(rowid);
-      if (row != nullptr) LDV_RETURN_IF_ERROR(consider(*row));
-    }
-    return matched;
-  }
-  for (const RowVersion& row : table->rows()) {
-    if (row.deleted) continue;
-    LDV_RETURN_IF_ERROR(consider(row));
-  }
-  return matched;
+/// The pre-state scan of `table`: the planner's table scan with the prov
+/// columns exposed and the whole WHERE (may be null: every row) as its
+/// filter. Its scope also binds the SET expressions.
+Result<std::unique_ptr<ScanNode>> PlanPreStateScan(Table* table,
+                                                   const std::string& alias,
+                                                   const sql::Expr* where) {
+  std::vector<const sql::Expr*> conjuncts;
+  SplitConjuncts(where, &conjuncts);
+  return PlanTableScan(table, alias, /*expose_prov_columns=*/true,
+                       [&](const Scope&) { return conjuncts; });
 }
 
 /// Charges the reenactment pre-state snapshot (the version-archive capture
 /// of every matched row) against the statement's memory budget.
 Status ChargePreState(const ExecOptions& options,
-                      const std::vector<RowVersion>& matched) {
+                      const std::vector<Tuple>& matched) {
   if (options.governor == nullptr) return Status::Ok();
   size_t bytes = 0;
-  for (const RowVersion& row : matched) {
-    bytes += sizeof(RowVersion) + ApproxTupleBytes(row.values);
+  for (const Tuple& row : matched) {
+    bytes += sizeof(storage::RowVersion) + ApproxTupleBytes(row);
   }
   return options.governor->ChargeMemory(bytes);
+}
+
+/// Phase 1 of reenactment: runs the pre-state scan — fused filter, index
+/// probe and morsel fan-out, exactly as for a SELECT — and returns one row
+/// per matched version in scan order: the table's columns, then prov_rowid,
+/// prov_v, prov_usedby, prov_p. The rows own their values, so the caller
+/// may mutate the table afterwards.
+Result<std::vector<Tuple>> ReadPreState(storage::Database* db, ScanNode* scan,
+                                        const ExecOptions& options) {
+  ExecContext ctx = MakeExecContext(db, options);
+  ctx.snapshot_epoch = 0;  // DML matches the live state it is about to change
+  LDV_ASSIGN_OR_RETURN(Batch matched, RunPlan(scan, &ctx, options));
+  LDV_RETURN_IF_ERROR(ChargePreState(options, matched.rows));
+  return std::move(matched.rows);
+}
+
+/// The matched version's identity, read from its prov_rowid / prov_v cells.
+TupleVid PriorVid(const Table& table, const Tuple& row) {
+  const size_t base = static_cast<size_t>(table.schema().num_columns());
+  return TupleVid{table.id(), row[base].AsInt(), row[base + 1].AsInt()};
+}
+
+/// The matched version's values without its prov columns.
+Tuple BaseValues(const Table& table, const Tuple& row) {
+  return Tuple(row.begin(), row.begin() + table.schema().num_columns());
 }
 
 }  // namespace
 
 Result<ResultSet> ExecUpdate(storage::Database* db,
                              const sql::UpdateStmt& update,
-                             const sql::Expr* where_expr, bool provenance,
+                             const sql::Expr* where, bool provenance,
                              const ExecOptions& options) {
   Table* table = db->FindTable(update.table);
   if (table == nullptr) {
@@ -130,10 +74,8 @@ Result<ResultSet> ExecUpdate(storage::Database* db,
   const std::string& alias =
       update.alias.empty() ? update.table : update.alias;
 
-  std::unique_ptr<BoundExpr> where;
-  if (where_expr != nullptr) {
-    LDV_ASSIGN_OR_RETURN(where, BindAgainstTable(*where_expr, *table, alias));
-  }
+  LDV_ASSIGN_OR_RETURN(std::unique_ptr<ScanNode> scan,
+                       PlanPreStateScan(table, alias, where));
   // Bind SET expressions (they may reference old column values).
   std::vector<std::pair<int, std::unique_ptr<BoundExpr>>> sets;
   for (const auto& [col_name, expr] : update.assignments) {
@@ -142,43 +84,41 @@ Result<ResultSet> ExecUpdate(storage::Database* db,
       return Status::NotFound(update.table + ": no column " + col_name);
     }
     LDV_ASSIGN_OR_RETURN(std::unique_ptr<BoundExpr> bound,
-                         BindAgainstTable(*expr, *table, alias));
+                         BindExpr(*expr, scan->scope()));
     sets.emplace_back(idx, std::move(bound));
   }
 
   // Reenactment: retrieve the statement's provenance (the matched pre-state
   // versions) BEFORE mutating, per §VII-B.
-  LDV_ASSIGN_OR_RETURN(
-      std::vector<RowVersion> matched,
-      MatchPreState(table, where.get(), FindIndexProbe(*table, where_expr)));
-  LDV_RETURN_IF_ERROR(ChargePreState(options, matched));
+  LDV_ASSIGN_OR_RETURN(std::vector<Tuple> matched,
+                       ReadPreState(db, scan.get(), options));
 
   ResultSet result;
   const int64_t stmt_seq = db->NextStatementSeq();
-  for (const RowVersion& old_row : matched) {
-    Tuple old_with_prov = RowWithProvColumns(old_row);
-    Tuple new_values = old_row.values;
+  for (const Tuple& old_row : matched) {
+    const TupleVid prior = PriorVid(*table, old_row);
+    Tuple new_values = BaseValues(*table, old_row);
     for (const auto& [idx, expr] : sets) {
-      LDV_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, old_with_prov));
+      LDV_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, old_row));
       LDV_ASSIGN_OR_RETURN(
           new_values[static_cast<size_t>(idx)],
           CoerceValue(std::move(v),
                       table->schema().column(idx).type));
     }
     LDV_RETURN_IF_ERROR(
-        table->Update(old_row.rowid, std::move(new_values), stmt_seq));
+        table->Update(prior.rowid, std::move(new_values), stmt_seq));
     DmlRecord rec;
     rec.kind = DmlRecord::Kind::kUpdated;
     rec.table = table->name();
-    rec.vid = TupleVid{table->id(), old_row.rowid, stmt_seq};
-    rec.prior = TupleVid{table->id(), old_row.rowid, old_row.version};
+    rec.vid = TupleVid{table->id(), prior.rowid, stmt_seq};
+    rec.prior = prior;
     rec.has_prior = true;
     result.dml.push_back(rec);
     if (provenance) {
       ProvTupleRecord prov;
-      prov.vid = rec.prior;
+      prov.vid = prior;
       prov.table = table->name();
-      prov.values = old_row.values;
+      prov.values = BaseValues(*table, old_row);
       result.prov_tuples.push_back(std::move(prov));
     }
   }
@@ -188,38 +128,35 @@ Result<ResultSet> ExecUpdate(storage::Database* db,
 }
 
 Result<ResultSet> ExecDelete(storage::Database* db, const sql::DeleteStmt& del,
-                             const sql::Expr* where_expr, bool provenance,
+                             const sql::Expr* where, bool provenance,
                              const ExecOptions& options) {
   Table* table = db->FindTable(del.table);
   if (table == nullptr) {
     return Status::NotFound("no such table: " + del.table);
   }
   const std::string& alias = del.alias.empty() ? del.table : del.alias;
-  std::unique_ptr<BoundExpr> where;
-  if (where_expr != nullptr) {
-    LDV_ASSIGN_OR_RETURN(where, BindAgainstTable(*where_expr, *table, alias));
-  }
-  LDV_ASSIGN_OR_RETURN(
-      std::vector<RowVersion> matched,
-      MatchPreState(table, where.get(), FindIndexProbe(*table, where_expr)));
-  LDV_RETURN_IF_ERROR(ChargePreState(options, matched));
+  LDV_ASSIGN_OR_RETURN(std::unique_ptr<ScanNode> scan,
+                       PlanPreStateScan(table, alias, where));
+  LDV_ASSIGN_OR_RETURN(std::vector<Tuple> matched,
+                       ReadPreState(db, scan.get(), options));
 
   ResultSet result;
   const int64_t stmt_seq = db->NextStatementSeq();
-  for (const RowVersion& old_row : matched) {
-    LDV_RETURN_IF_ERROR(table->Delete(old_row.rowid, stmt_seq));
+  for (const Tuple& old_row : matched) {
+    const TupleVid prior = PriorVid(*table, old_row);
+    LDV_RETURN_IF_ERROR(table->Delete(prior.rowid, stmt_seq));
     DmlRecord rec;
     rec.kind = DmlRecord::Kind::kDeleted;
     rec.table = table->name();
-    rec.vid = TupleVid{table->id(), old_row.rowid, old_row.version};
-    rec.prior = rec.vid;
+    rec.vid = prior;
+    rec.prior = prior;
     rec.has_prior = true;
     result.dml.push_back(rec);
     if (provenance) {
       ProvTupleRecord prov;
-      prov.vid = rec.prior;
+      prov.vid = prior;
       prov.table = table->name();
-      prov.values = old_row.values;
+      prov.values = BaseValues(*table, old_row);
       result.prov_tuples.push_back(std::move(prov));
     }
   }

@@ -12,7 +12,11 @@ namespace ldv::exec {
 /// following GProM): the set of affected tuple versions — the statement's
 /// provenance — is computed against the *pre-state* of the table, before the
 /// mutation is applied, because afterwards the prior versions would only be
-/// available from the archive.
+/// available from the archive. The pre-state match is an ordinary query: the
+/// planner's table scan (PlanTableScan) with the prov_* columns exposed and
+/// `where` as its filter, run like a SELECT's scan — vectorized, index
+/// probed, morsel-parallel and cancellable. The mutations then apply
+/// serially in scan order.
 ///
 /// With `provenance`:
 ///   - each affected row contributes a DmlRecord linking the created version
@@ -20,10 +24,8 @@ namespace ldv::exec {
 ///     (deletes), and
 ///   - the prior versions' values are returned in `prov_tuples` so they can
 ///     be persisted into a package.
-/// `where` is the (possibly subquery-flattened) predicate to use; pass
-/// `update.where.get()` when no flattening was needed. May be null (all
-/// rows). When the predicate contains an equality between an indexed column
-/// and a literal, matching probes the hash index instead of scanning.
+/// `where` is the statement's (possibly subquery-flattened) predicate; null
+/// matches every row.
 Result<ResultSet> ExecUpdate(storage::Database* db,
                              const sql::UpdateStmt& update,
                              const sql::Expr* where, bool provenance,
@@ -32,21 +34,6 @@ Result<ResultSet> ExecUpdate(storage::Database* db,
 Result<ResultSet> ExecDelete(storage::Database* db, const sql::DeleteStmt& del,
                              const sql::Expr* where, bool provenance,
                              const ExecOptions& options);
-
-/// Convenience overloads using the statement's own WHERE clause.
-inline Result<ResultSet> ExecUpdate(storage::Database* db,
-                                    const sql::UpdateStmt& update,
-                                    bool provenance,
-                                    const ExecOptions& options) {
-  return ExecUpdate(db, update, update.where.get(), provenance, options);
-}
-
-inline Result<ResultSet> ExecDelete(storage::Database* db,
-                                    const sql::DeleteStmt& del,
-                                    bool provenance,
-                                    const ExecOptions& options) {
-  return ExecDelete(db, del, del.where.get(), provenance, options);
-}
 
 }  // namespace ldv::exec
 

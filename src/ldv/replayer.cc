@@ -108,9 +108,25 @@ Status Replayer::RestoreIncludedTuples() {
     std::string csv_path =
         JoinPath(options_.package_dir,
                  std::string(kTupleDataDir) + "/" + entry.name + ".csv");
-    if (!FileExists(csv_path)) continue;  // no relevant tuples for this table
+    // A truncated package must fail here, not replay quietly against a
+    // smaller database: the manifest's row count is the authority.
+    if (!FileExists(csv_path)) {
+      if (entry.rows == 0) continue;  // no relevant tuples for this table
+      return Status::IOError(StrFormat(
+          "table '%s': packaged tuple file %s is missing (manifest records "
+          "%lld rows)",
+          entry.name.c_str(), csv_path.c_str(),
+          static_cast<long long>(entry.rows)));
+    }
     LDV_ASSIGN_OR_RETURN(std::string text, ReadFileToString(csv_path));
     LDV_ASSIGN_OR_RETURN(auto rows, ParseCsv(text));
+    if (static_cast<int64_t>(rows.size()) != entry.rows) {
+      return Status::IOError(StrFormat(
+          "table '%s': packaged tuple file %s holds %zu rows, manifest "
+          "records %lld",
+          entry.name.c_str(), csv_path.c_str(), rows.size(),
+          static_cast<long long>(entry.rows)));
+    }
     const storage::Schema& schema = table->schema();
     std::vector<storage::RowVersion> restored;
     restored.reserve(rows.size());

@@ -43,24 +43,16 @@ std::string_view BinaryOpSymbol(BinaryOp op) {
   return "?";
 }
 
-/// Shortest decimal rendering of `v` that re-parses to exactly `v` and
-/// always re-lexes as a *double* (a '.' or exponent is forced). ToText's
-/// %.15g is lossy for one in ~10 doubles and renders 5.0 as "5", which
-/// would come back as an integer — wrong type for WAL replay of
-/// parameter-substituted DML.
-std::string RenderDouble(double v) {
-  for (const char* fmt : {"%.15g", "%.16g", "%.17g"}) {
-    std::string text = StrFormat(fmt, v);
-    Result<double> back = ParseDouble(text);
-    if (back.ok() && *back == v) {
-      if (text.find_first_of(".eE") == std::string::npos &&
-          text.find_first_of("0123456789") != std::string::npos) {
-        text += ".0";
-      }
-      return text;
-    }
+/// storage::RenderDouble forced to re-lex as a *double* (a '.' or exponent
+/// is appended when missing): "5" would come back as an integer — wrong
+/// type for WAL replay of parameter-substituted DML.
+std::string RenderDoubleLiteral(double v) {
+  std::string text = storage::RenderDouble(v);
+  if (text.find_first_of(".eE") == std::string::npos &&
+      text.find_first_of("0123456789") != std::string::npos) {
+    text += ".0";
   }
-  return StrFormat("%.17g", v);  // unreachable for finite doubles
+  return text;
 }
 
 }  // namespace
@@ -182,7 +174,7 @@ std::string Expr::ToString() const {
         return "'" + escaped + "'";
       }
       if (literal.type() == storage::ValueType::kDouble) {
-        return RenderDouble(literal.AsDouble());
+        return RenderDoubleLiteral(literal.AsDouble());
       }
       return literal.is_null() ? "NULL" : literal.ToText();
     case ExprKind::kParameter:

@@ -138,11 +138,8 @@ std::string Value::ToText() const {
       return "";
     case ValueType::kInt64:
       return std::to_string(int_);
-    case ValueType::kDouble: {
-      // %.15g keeps round-trip fidelity for workload values while staying
-      // human-readable in CSV files.
-      return StrFormat("%.15g", double_);
-    }
+    case ValueType::kDouble:
+      return RenderDouble(double_);
     case ValueType::kString:
       return string_;
   }
@@ -255,6 +252,17 @@ std::string TupleToText(const Tuple& t) {
   }
   out += ")";
   return out;
+}
+
+std::string RenderDouble(double v) {
+  // %.15g keeps short workload values (prices, quantities) as written; the
+  // wider forms cover the doubles it would round.
+  for (const char* fmt : {"%.15g", "%.16g"}) {
+    std::string text = StrFormat(fmt, v);
+    Result<double> back = ParseDouble(text);
+    if (back.ok() && *back == v) return text;
+  }
+  return StrFormat("%.17g", v);  // always round-trips
 }
 
 }  // namespace ldv::storage

@@ -103,6 +103,12 @@ uint64_t HashTuple(const Tuple& t);
 /// Renders "(v1, v2, ...)".
 std::string TupleToText(const Tuple& t);
 
+/// Shortest decimal rendering of `v` that parses back to exactly `v`
+/// (0.1 + 0.2 renders as "0.30000000000000004", 0.25 as "0.25"). Integral
+/// values carry no fraction ("5"). Value::ToText and SQL literal rendering
+/// both use it, so packaged and logged doubles round-trip bit-exactly.
+std::string RenderDouble(double v);
+
 }  // namespace ldv::storage
 
 #endif  // LDV_STORAGE_VALUE_H_

@@ -195,6 +195,88 @@ TEST_F(AuditReplayTest, ServerIncludedReplayIsFaithful) {
   EXPECT_NE(out->find("threshold=50"), std::string::npos);
 }
 
+// A truncated package must fail to open, never replay quietly against a
+// smaller database: the manifest's per-table row count is checked against
+// the packaged tuple file.
+TEST_F(AuditReplayTest, ServerIncludedReplayRejectsTruncatedTuples) {
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "trunc"));
+  ASSERT_TRUE(auditor.Run(TestApp(nullptr)).ok());
+  const std::string csv_path = base_ + "/packages/trunc/db/data/items.csv";
+  auto open = [&](const std::string& scratch) {
+    ReplayOptions options;
+    options.package_dir = base_ + "/packages/trunc";
+    options.scratch_dir = base_ + "/scratch/" + scratch;
+    return Replayer::Open(options);
+  };
+  ASSERT_TRUE(open("intact").ok());
+
+  // (b) One whole CSV line dropped.
+  auto text = ReadFileToString(csv_path);
+  ASSERT_TRUE(text.ok());
+  ASSERT_EQ(text->back(), '\n');
+  const size_t last_line = text->rfind('\n', text->size() - 2);
+  ASSERT_NE(last_line, std::string::npos);
+  ASSERT_TRUE(WriteStringToFile(csv_path, text->substr(0, last_line + 1)).ok());
+  auto short_file = open("short");
+  ASSERT_FALSE(short_file.ok());
+  EXPECT_NE(short_file.status().ToString().find("'items'"), std::string::npos)
+      << short_file.status().ToString();
+  EXPECT_NE(short_file.status().ToString().find(csv_path), std::string::npos)
+      << short_file.status().ToString();
+
+  // (a) The tuple file deleted outright.
+  ASSERT_TRUE(RemoveAll(csv_path).ok());
+  auto missing = open("missing");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_NE(missing.status().ToString().find("'items'"), std::string::npos)
+      << missing.status().ToString();
+  EXPECT_NE(missing.status().ToString().find(csv_path), std::string::npos)
+      << missing.status().ToString();
+
+  // Restoring the file makes the package whole again.
+  ASSERT_TRUE(WriteStringToFile(csv_path, *text).ok());
+  EXPECT_TRUE(open("restored").ok());
+}
+
+// A double whose %.15g form is rounded (0.1 + 0.2) is packaged and restored
+// bit-exactly, so the replayed SELECT returns the audited value.
+TEST_F(AuditReplayTest, ServerIncludedReplayRestoresDoublesBitExactly) {
+  auto measures = db_->CreateTable(
+      "measures", storage::Schema({{"id", ValueType::kInt64},
+                                   {"x", ValueType::kDouble}}));
+  ASSERT_TRUE(measures.ok());
+  const int64_t seq = db_->NextStatementSeq();
+  const double values[] = {0.1 + 0.2, 1.0 / 3, 2.5, 0.05};
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE((*measures)
+                    ->Insert({Value::Int(i + 1), Value::Real(values[i])}, seq)
+                    .ok());
+  }
+  auto app = [](uint64_t* fingerprint_out) -> AppFn {
+    return [fingerprint_out](AppEnv& env) -> Status {
+      os::ProcessContext& proc = env.root_process();
+      LDV_ASSIGN_OR_RETURN(net::DbClient * db, env.OpenDbConnection(proc));
+      LDV_ASSIGN_OR_RETURN(
+          exec::ResultSet r,
+          db->Query("SELECT id, x FROM measures WHERE x > 0.2"));
+      if (r.rows.size() != 3) return Status::Internal("wrong row count");
+      *fingerprint_out = r.Fingerprint();
+      return Status::Ok();
+    };
+  };
+  uint64_t audited_fp = 0;
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "dbl"));
+  ASSERT_TRUE(auditor.Run(app(&audited_fp)).ok());
+  auto csv = ReadFileToString(base_ + "/packages/dbl/db/data/measures.csv");
+  ASSERT_TRUE(csv.ok());
+  EXPECT_NE(csv->find("0.30000000000000004"), std::string::npos) << *csv;
+
+  uint64_t replay_fp = 0;
+  auto report = ReplayPackage("dbl", app(&replay_fp));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(replay_fp, audited_fp);
+}
+
 TEST_F(AuditReplayTest, ServerExcludedReplayNeedsNoDatabase) {
   uint64_t original_fp = 0;
   Auditor auditor(db_.get(), Options(PackageMode::kServerExcluded, "exc"));

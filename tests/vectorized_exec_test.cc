@@ -25,7 +25,7 @@ class VectorizedExecTest : public ::testing::Test {
  protected:
   void SetUp() override { exec_ = std::make_unique<Executor>(&db_); }
 
-  ResultSet Run(const std::string& sql, int threads, int vectorize) {
+  ResultSet Run(const std::string& sql, int threads, bool vectorize) {
     ExecOptions options;
     options.threads = threads;
     options.vectorize = vectorize;
@@ -66,10 +66,10 @@ class VectorizedExecTest : public ::testing::Test {
   /// The serial row engine is the reference; vectorized (dop 1 and 8) and
   /// the parallel row engine must all match it exactly.
   void ExpectEnginesIdentical(const std::string& sql) {
-    ResultSet reference = Run(sql, 1, /*vectorize=*/-1);
-    ExpectSameResults(Run(sql, 1, 1), reference, sql, "vectorized dop=1");
-    ExpectSameResults(Run(sql, 8, 1), reference, sql, "vectorized dop=8");
-    ExpectSameResults(Run(sql, 8, -1), reference, sql, "row dop=8");
+    ResultSet reference = Run(sql, 1, /*vectorize=*/false);
+    ExpectSameResults(Run(sql, 1, true), reference, sql, "vectorized dop=1");
+    ExpectSameResults(Run(sql, 8, true), reference, sql, "vectorized dop=8");
+    ExpectSameResults(Run(sql, 8, false), reference, sql, "row dop=8");
   }
 
   /// `n` rows spanning several morsels; values repeat so joins / GROUP BY /
@@ -77,7 +77,7 @@ class VectorizedExecTest : public ::testing::Test {
   /// column so the kernels' null paths are exercised everywhere.
   void FillItems(size_t n, uint64_t seed) {
     (void)Run("CREATE TABLE items (id INT, grp INT, val DOUBLE, tag TEXT)", 1,
-              -1);
+              false);
     Rng rng(seed);
     std::string insert;
     size_t pending = 0;
@@ -95,21 +95,22 @@ class VectorizedExecTest : public ::testing::Test {
                 std::to_string(rng.Uniform(0, 37)) + ", " + val + ", " + tag +
                 ")";
       if (++pending == 512 || i + 1 == n) {
-        (void)Run(insert, 1, -1);
+        (void)Run(insert, 1, false);
         pending = 0;
       }
     }
   }
 
   void FillGroups() {
-    (void)Run("CREATE TABLE grps (gid INT, name TEXT, weight DOUBLE)", 1, -1);
+    (void)Run("CREATE TABLE grps (gid INT, name TEXT, weight DOUBLE)", 1,
+              false);
     std::string insert = "INSERT INTO grps VALUES ";
     for (int g = 0; g < 37; ++g) {
       if (g > 0) insert += ", ";
       insert += "(" + std::to_string(g) + ", 'g" + std::to_string(g % 7) +
                 "', " + std::to_string(g) + ".5)";
     }
-    (void)Run(insert, 1, -1);
+    (void)Run(insert, 1, false);
   }
 
   Database db_;
@@ -220,7 +221,7 @@ TEST_F(VectorizedExecTest, LineageAndProvenance) {
 
 TEST_F(VectorizedExecTest, IndexProbeFallsBackToRowPath) {
   FillItems(2 * kMorselRows, /*seed=*/909);
-  (void)Run("CREATE INDEX idx_items_grp ON items (grp)", 1, -1);
+  (void)Run("CREATE INDEX idx_items_grp ON items (grp)", 1, false);
   ExpectEnginesIdentical("SELECT id, val FROM items WHERE grp = 17");
   ExpectEnginesIdentical("PROVENANCE SELECT id FROM items WHERE grp = 17");
 }
@@ -268,7 +269,7 @@ TEST_F(VectorizedExecTest, RandomizedDifferentialFuzz) {
 TEST_F(VectorizedExecTest, ExplainAnalyzeShowsBatchesAndRate) {
   FillItems(2 * kMorselRows, /*seed=*/111);
   ResultSet vec = Run("EXPLAIN ANALYZE SELECT id FROM items WHERE grp < 9", 1,
-                      /*vectorize=*/1);
+                      /*vectorize=*/true);
   std::string vec_text;
   for (const auto& row : vec.rows) vec_text += row[0].AsString() + "\n";
   EXPECT_NE(vec_text.find("[vectorized]"), std::string::npos) << vec_text;
@@ -278,7 +279,7 @@ TEST_F(VectorizedExecTest, ExplainAnalyzeShowsBatchesAndRate) {
   // ORDER BY has no columnar sort kernel: the SortLimit node reports itself
   // as a row fallback while the scan below it stays vectorized.
   ResultSet sorted = Run(
-      "EXPLAIN ANALYZE SELECT id, val FROM items ORDER BY val LIMIT 3", 1, 1);
+      "EXPLAIN ANALYZE SELECT id, val FROM items ORDER BY val LIMIT 3", 1, true);
   std::string sorted_text;
   for (const auto& row : sorted.rows) sorted_text += row[0].AsString() + "\n";
   EXPECT_NE(sorted_text.find("[row-fallback]"), std::string::npos)
@@ -287,7 +288,7 @@ TEST_F(VectorizedExecTest, ExplainAnalyzeShowsBatchesAndRate) {
 
   // The row engine reports neither marker.
   ResultSet row = Run("EXPLAIN ANALYZE SELECT id FROM items WHERE grp < 9", 1,
-                      /*vectorize=*/-1);
+                      /*vectorize=*/false);
   std::string row_text;
   for (const auto& r : row.rows) row_text += r[0].AsString() + "\n";
   EXPECT_EQ(row_text.find("[vectorized]"), std::string::npos) << row_text;
@@ -303,35 +304,18 @@ TEST_F(VectorizedExecTest, MetricsCountQueriesBatchesAndFallbacks) {
 
   const int64_t q0 = queries->Value();
   const int64_t b0 = batches->Value();
-  (void)Run("SELECT id FROM items WHERE grp < 9", 1, 1);
+  (void)Run("SELECT id FROM items WHERE grp < 9", 1, true);
   EXPECT_EQ(queries->Value(), q0 + 1);
   EXPECT_GT(batches->Value(), b0);
 
   const int64_t f0 = fallbacks->Value();
-  (void)Run("SELECT id, val FROM items ORDER BY val LIMIT 3", 1, 1);
+  (void)Run("SELECT id, val FROM items ORDER BY val LIMIT 3", 1, true);
   EXPECT_GT(fallbacks->Value(), f0);  // the SortLimit node
 
   // The row engine never touches the vectorized counters.
   const int64_t q1 = queries->Value();
-  (void)Run("SELECT id FROM items WHERE grp < 9", 1, -1);
+  (void)Run("SELECT id FROM items WHERE grp < 9", 1, false);
   EXPECT_EQ(queries->Value(), q1);
-}
-
-TEST_F(VectorizedExecTest, DefaultVectorizeToggle) {
-  FillItems(kMorselRows, /*seed=*/333);
-  ASSERT_TRUE(DefaultVectorize());
-  auto& registry = obs::MetricsRegistry::Global();
-  obs::Counter* queries = registry.counter("exec.vectorized.queries");
-
-  SetDefaultVectorize(false);
-  const int64_t q0 = queries->Value();
-  ResultSet off = Run("SELECT count(*) FROM items", 1, /*vectorize=*/0);
-  EXPECT_EQ(queries->Value(), q0);  // default off, tri-state 0 follows it
-
-  SetDefaultVectorize(true);
-  ResultSet on = Run("SELECT count(*) FROM items", 1, /*vectorize=*/0);
-  EXPECT_EQ(queries->Value(), q0 + 1);
-  EXPECT_EQ(on.Fingerprint(), off.Fingerprint());
 }
 
 }  // namespace

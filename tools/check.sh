@@ -22,8 +22,8 @@
 #
 # --tsan additionally builds with ThreadSanitizer (LDV_SANITIZE=thread) and
 # runs the concurrency-sensitive suites (thread pool, parallel execution,
-# vectorized differential, exec, net, txn/governance, mvcc,
-# prepared-statement differential fuzzer) under it.
+# vectorized differential, exec incl. DML pre-state scans and lineage, net,
+# txn/governance, mvcc, prepared-statement differential fuzzer) under it.
 #
 # --torture N runs N seeded kill-at-faultpoint iterations of crash_torture
 # (on top of the short smoke pass ctest already includes).
@@ -127,12 +127,13 @@ if [[ "$TSAN" == 1 ]]; then
   cmake -B build-tsan -S . -DLDV_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target \
     thread_pool_test parallel_exec_test vectorized_exec_test exec_select_test \
-    exec_features_test net_test txn_test governance_test mvcc_test \
-    prepared_statement_test prepared_fuzz_test repl_test
+    exec_features_test exec_dml_test lineage_test net_test txn_test \
+    governance_test mvcc_test prepared_statement_test prepared_fuzz_test \
+    repl_test
   # -R must precede the bare -j: ctest would otherwise swallow it as the
   # job count and silently run the whole (mostly unbuilt) suite.
   (cd build-tsan && ctest --output-on-failure --timeout 240 \
-    -R 'ThreadPool|Parallel|Vectorized|ExecSelect|ExecFeatures|Net|Txn|Governance|Mvcc|SharedMutex|SnapshotManager|Prepared|Normalize|Repl' -j)
+    -R 'ThreadPool|Parallel|Vectorized|ExecSelect|ExecFeatures|ExecDml|Lineage|Net|Txn|Governance|Mvcc|SharedMutex|SnapshotManager|Prepared|Normalize|Repl' -j)
 fi
 
 echo "check.sh: plain and sanitizer suites both passed"
