@@ -170,14 +170,21 @@ namespace {
 Result<Value> EvalBinary(const BoundExpr& expr, const storage::Tuple& row,
                          const storage::Tuple* params) {
   const BinaryOp op = expr.binary_op;
-  // Short-circuit logic first.
+  // Short-circuit logic first, in SQL's three-valued logic: the operand
+  // that decides (false for AND, true for OR) wins over NULL, and any other
+  // mix involving NULL is NULL.
   if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
+    const bool decider = op == BinaryOp::kOr;
     LDV_ASSIGN_OR_RETURN(Value lhs, EvalExpr(*expr.children[0], row, params));
-    const bool l = lhs.IsTruthy();
-    if (op == BinaryOp::kAnd && !l) return Value::Int(0);
-    if (op == BinaryOp::kOr && l) return Value::Int(1);
+    if (!lhs.is_null() && lhs.IsTruthy() == decider) {
+      return Value::Int(decider);
+    }
     LDV_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*expr.children[1], row, params));
-    return Value::Int(rhs.IsTruthy() ? 1 : 0);
+    if (!rhs.is_null() && rhs.IsTruthy() == decider) {
+      return Value::Int(decider);
+    }
+    if (lhs.is_null() || rhs.is_null()) return Value::Null();
+    return Value::Int(!decider);
   }
   LDV_ASSIGN_OR_RETURN(Value lhs, EvalExpr(*expr.children[0], row, params));
   LDV_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*expr.children[1], row, params));

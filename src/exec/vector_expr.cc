@@ -298,19 +298,31 @@ void LikeKernel(bool negated, const ColumnVector& l, const ColumnVector& r,
   }
 }
 
+/// AND/OR in SQL's three-valued logic, row for row as EvalBinary: the
+/// operand that decides (false for AND, true for OR) wins over NULL, and any
+/// other mix involving NULL is NULL.
 void LogicalKernel(BinaryOp op, const ColumnVector& l, const ColumnVector& r,
                    ColumnVector* out) {
   const size_t n = l.length;
+  const uint8_t decider = op == BinaryOp::kOr;
   std::vector<uint8_t> lt, rt;
   VectorTruthy(l, &lt);
   VectorTruthy(r, &rt);
   Reset(out, ValueType::kInt64);
-  out->i64.assign(n, 0);
+  out->i64.assign(n, !decider);
   out->length = n;
-  if (op == BinaryOp::kAnd) {
-    for (size_t i = 0; i < n; ++i) out->i64[i] = lt[i] && rt[i];
-  } else {
-    for (size_t i = 0; i < n; ++i) out->i64[i] = lt[i] || rt[i];
+  const bool has_null = l.type == ValueType::kNull ||
+                        r.type == ValueType::kNull || !l.nulls.empty() ||
+                        !r.nulls.empty();
+  if (has_null) out->nulls.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const bool l_null = has_null && l.IsNull(i);
+    const bool r_null = has_null && r.IsNull(i);
+    if ((!l_null && lt[i] == decider) || (!r_null && rt[i] == decider)) {
+      out->i64[i] = decider;
+    } else if (l_null || r_null) {
+      out->nulls[i] = 1;
+    }
   }
 }
 

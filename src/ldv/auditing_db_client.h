@@ -16,6 +16,14 @@ class Auditor;
 /// the package is server-included, reports each execution to the Auditor,
 /// and hands the application a provenance-free result — applications cannot
 /// observe that they are being audited.
+///
+/// Each application statement is one request. An UPDATE or DELETE gets the
+/// PROVENANCE prefix like a query: the engine reenacts it over the pre-state
+/// before mutating (§VII-B) and returns the matched versions, plus the
+/// tuples of any WHERE subquery, as its provenance. Server-included audit
+/// refuses, with NotSupported, the statements whose provenance it cannot
+/// capture: PREPARE/EXECUTE/DEALLOCATE (SQL or protocol verb) and
+/// COPY ... TO.
 class AuditingDbClient final : public net::DbClient {
  public:
   AuditingDbClient(net::DbClient* backend, Auditor* auditor,
@@ -30,8 +38,9 @@ class AuditingDbClient final : public net::DbClient {
   int64_t process_id_;
 };
 
-/// Referenced table names of a parsed statement (used for first-touch
-/// registration). Exposed for tests.
+/// Referenced table names of a parsed statement, those read by its
+/// subqueries included (used for first-touch registration). Exposed for
+/// tests.
 std::vector<std::string> ReferencedTables(const sql::Statement& stmt);
 
 }  // namespace ldv

@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -166,7 +167,7 @@ Status Table::CreateIndex(int column_index) {
   hash_index.column = column_index;
   for (const RowVersion& row : rows_) {
     if (row.deleted) continue;
-    hash_index.map.emplace(
+    hash_index.entries.emplace(
         row.values[static_cast<size_t>(column_index)].Hash(), row.rowid);
   }
   indexes_.push_back(std::move(hash_index));
@@ -185,8 +186,10 @@ std::vector<RowId> Table::IndexLookup(int column_index,
   std::vector<RowId> out;
   for (const HashIndex& idx : indexes_) {
     if (idx.column != column_index) continue;
-    auto [begin, end] = idx.map.equal_range(v.Hash());
-    for (auto it = begin; it != end; ++it) {
+    const uint64_t hash = v.Hash();
+    auto it = idx.entries.lower_bound(
+        {hash, std::numeric_limits<RowId>::min()});
+    for (; it != idx.entries.end() && it->first == hash; ++it) {
       const RowVersion* row = Find(it->second);
       // Verify against hash collisions; equality follows SQL '=' (numeric
       // coercion).
@@ -201,27 +204,20 @@ std::vector<RowId> Table::IndexLookup(int column_index,
     }
     break;
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 void Table::IndexInsert(const RowVersion& row) {
   for (HashIndex& idx : indexes_) {
-    idx.map.emplace(row.values[static_cast<size_t>(idx.column)].Hash(),
-                    row.rowid);
+    idx.entries.emplace(row.values[static_cast<size_t>(idx.column)].Hash(),
+                        row.rowid);
   }
 }
 
 void Table::IndexRemove(const RowVersion& row) {
   for (HashIndex& idx : indexes_) {
-    auto [begin, end] =
-        idx.map.equal_range(row.values[static_cast<size_t>(idx.column)].Hash());
-    for (auto it = begin; it != end; ++it) {
-      if (it->second == row.rowid) {
-        idx.map.erase(it);
-        break;
-      }
-    }
+    idx.entries.erase(
+        {row.values[static_cast<size_t>(idx.column)].Hash(), row.rowid});
   }
 }
 

@@ -2,8 +2,10 @@
 #define LDV_STORAGE_TABLE_H_
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -184,9 +186,11 @@ class Table {
   int num_indexes() const { return static_cast<int>(indexes_.size()); }
 
  private:
+  /// (value hash, rowid) pairs, ordered: an UPDATE/DELETE removes its own
+  /// entry directly, and a lookup reads its rowids already sorted.
   struct HashIndex {
     int column = -1;
-    std::unordered_multimap<uint64_t, RowId> map;
+    std::set<std::pair<uint64_t, RowId>> entries;
   };
   void IndexInsert(const RowVersion& row);
   void IndexRemove(const RowVersion& row);

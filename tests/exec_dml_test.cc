@@ -188,20 +188,24 @@ enum class Truth { kFalse, kTrue, kNull };
 
 Truth FromBool(bool b) { return b ? Truth::kTrue : Truth::kFalse; }
 
-// The engine's connectives, which differ from SQL's three-valued logic:
-// AND and OR yield 0/1 and treat a NULL operand as false, while NOT passes a
-// NULL through.
+// SQL's three-valued connectives: NOT passes NULL through; false decides an
+// AND and true decides an OR even against NULL; any other mix with NULL is
+// NULL.
 Truth Not(Truth t) {
   if (t == Truth::kNull) return t;
   return t == Truth::kTrue ? Truth::kFalse : Truth::kTrue;
 }
 
 Truth And(Truth a, Truth b) {
-  return FromBool(a == Truth::kTrue && b == Truth::kTrue);
+  if (a == Truth::kFalse || b == Truth::kFalse) return Truth::kFalse;
+  if (a == Truth::kNull || b == Truth::kNull) return Truth::kNull;
+  return Truth::kTrue;
 }
 
 Truth Or(Truth a, Truth b) {
-  return FromBool(a == Truth::kTrue || b == Truth::kTrue);
+  if (a == Truth::kTrue || b == Truth::kTrue) return Truth::kTrue;
+  if (a == Truth::kNull || b == Truth::kNull) return Truth::kNull;
+  return Truth::kFalse;
 }
 
 /// The test's copy of one row slot of `r (id INT, k INT, x DOUBLE, note

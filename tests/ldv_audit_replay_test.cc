@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
+#include "ldv/auditing_db_client.h"
 #include "ldv/auditor.h"
 #include "ldv/replayer.h"
 #include "net/db_server.h"
@@ -273,6 +275,193 @@ TEST_F(AuditReplayTest, ServerIncludedReplayRestoresDoublesBitExactly) {
 
   uint64_t replay_fp = 0;
   auto report = ReplayPackage("dbl", app(&replay_fp));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(replay_fp, audited_fp);
+}
+
+// ---------------------------------------------------------------------------
+// The auditing client against a recording backend: what reaches the server.
+// ---------------------------------------------------------------------------
+
+/// A backend DbClient that keeps every request it is sent and forwards it to
+/// an engine over the audited database.
+class RecordingBackend final : public net::DbClient {
+ public:
+  explicit RecordingBackend(Database* db) : engine_(db), local_(&engine_) {}
+
+  Result<exec::ResultSet> Execute(const net::DbRequest& request) override {
+    requests.push_back(request);
+    return local_.Execute(request);
+  }
+
+  std::vector<net::DbRequest> requests;
+
+ private:
+  net::EngineHandle engine_;
+  net::LocalDbClient local_;
+};
+
+/// Runs `body` under audit with an AuditingDbClient over `backend` in place
+/// of the connection the Auditor would open.
+AppFn OverBackend(RecordingBackend* backend,
+                  std::function<Status(net::DbClient*)> body) {
+  return [backend, body](AppEnv& env) -> Status {
+    AuditingDbClient client(backend, static_cast<Auditor*>(&env),
+                            env.root_process().pid());
+    return body(&client);
+  };
+}
+
+TEST_F(AuditReplayTest, AuditedUpdateAndDeleteAreOneProvenanceRequestEach) {
+  RecordingBackend backend(db_.get());
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "one"));
+  auto report = auditor.Run(OverBackend(&backend, [](net::DbClient* db) {
+    LDV_RETURN_IF_ERROR(
+        db->Query("UPDATE items SET val = val + 1 WHERE id = 3").status());
+    return db->Query("DELETE FROM items WHERE id = 7").status();
+  }));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  ASSERT_EQ(backend.requests.size(), 2u);
+  EXPECT_EQ(backend.requests[0].sql,
+            "PROVENANCE UPDATE items SET val = val + 1 WHERE id = 3");
+  EXPECT_EQ(backend.requests[1].sql,
+            "PROVENANCE DELETE FROM items WHERE id = 7");
+  EXPECT_NE(backend.requests[0].query_id, backend.requests[1].query_id);
+  // The matched pre-state versions are still packaged: rowids 3 and 7.
+  auto csv = ReadFileToString(base_ + "/packages/one/db/data/items.csv");
+  ASSERT_TRUE(csv.ok());
+  auto rows = ParseCsv(*csv);
+  ASSERT_TRUE(rows.ok());
+  std::set<int64_t> rowids;
+  for (const auto& fields : *rows) rowids.insert(*ParseInt64(fields[0]));
+  EXPECT_EQ(rowids, (std::set<int64_t>{3, 7}));
+  EXPECT_EQ(report->tuples_persisted, 2);
+}
+
+TEST_F(AuditReplayTest, AuditingClientForwardsTheApplicationsRequest) {
+  RecordingBackend backend(db_.get());
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "fwd"));
+  auto report = auditor.Run(OverBackend(&backend, [](net::DbClient* db) {
+    net::DbRequest request;
+    request.sql = "SELECT id FROM items WHERE val > 50";
+    request.timeout_millis = 4321;
+    return db->Execute(request).status();
+  }));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(backend.requests.size(), 1u);
+  EXPECT_EQ(backend.requests[0].sql,
+            "PROVENANCE SELECT id FROM items WHERE val > 50");
+  EXPECT_EQ(backend.requests[0].timeout_millis, 4321);
+  EXPECT_GT(backend.requests[0].process_id, 0);
+  EXPECT_GT(backend.requests[0].query_id, 0);
+}
+
+// Prepared statements and COPY ... TO audit fine but replay against the
+// packaged subset to different answers, so server-included audit refuses
+// them, naming the statement, before anything reaches the server.
+TEST_F(AuditReplayTest, ServerIncludedRefusesStatementsItCannotCapture) {
+  const std::string copy_path = base_ + "/items_out.csv";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"PREPARE", "PREPARE p AS SELECT id FROM items WHERE val > ?"},
+      {"EXECUTE", "EXECUTE p(35)"},
+      {"DEALLOCATE", "DEALLOCATE p"},
+      {"COPY ... TO", "COPY items TO '" + copy_path + "'"},
+  };
+  RecordingBackend backend(db_.get());
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "refuse"));
+  auto report = auditor.Run(OverBackend(&backend, [&](net::DbClient* db) {
+    for (const auto& [name, sql] : cases) {
+      Status s = db->Query(sql).status();
+      EXPECT_EQ(s.code(), StatusCode::kNotSupported) << sql;
+      EXPECT_NE(s.message().find(name), std::string::npos) << s.ToString();
+    }
+    // The same statements as protocol verbs.
+    Status prepare = net::PrepareStatement(db, "p", "SELECT id FROM items");
+    EXPECT_EQ(prepare.code(), StatusCode::kNotSupported);
+    EXPECT_NE(prepare.message().find("PREPARE"), std::string::npos);
+    Status execute = net::ExecutePrepared(db, "p", {Value::Int(35)}).status();
+    EXPECT_EQ(execute.code(), StatusCode::kNotSupported);
+    EXPECT_NE(execute.message().find("EXECUTE"), std::string::npos);
+    Status deallocate = net::DeallocatePrepared(db, "p");
+    EXPECT_EQ(deallocate.code(), StatusCode::kNotSupported);
+    EXPECT_NE(deallocate.message().find("DEALLOCATE"), std::string::npos);
+    return Status::Ok();
+  }));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(backend.requests.empty());
+  EXPECT_EQ(report->statements_audited, 0);
+  EXPECT_FALSE(FileExists(copy_path));
+
+  // The refusal is server-included only: a server-excluded package replays
+  // the recorded answers, so prepared statements audit there.
+  RecordingBackend excluded_backend(db_.get());
+  Auditor excluded(db_.get(), Options(PackageMode::kServerExcluded, "exc"));
+  auto excluded_report =
+      excluded.Run(OverBackend(&excluded_backend, [](net::DbClient* db) {
+        LDV_RETURN_IF_ERROR(
+            db->Query("PREPARE p AS SELECT id FROM items WHERE val > ?")
+                .status());
+        LDV_ASSIGN_OR_RETURN(exec::ResultSet r, db->Query("EXECUTE p(35)"));
+        return r.rows.size() == 7 ? Status::Ok()
+                                  : Status::Internal("wrong EXECUTE answer");
+      }));
+  EXPECT_TRUE(excluded_report.ok()) << excluded_report.status().ToString();
+}
+
+// An UPDATE and a DELETE whose WHERE holds an IN-subquery over another
+// table: the subquery's tuples are part of the statements' provenance, so
+// they are packaged, and replay reproduces the audited answers.
+TEST_F(AuditReplayTest, ServerIncludedPackagesWhereSubqueryTuples) {
+  auto picks = db_->CreateTable(
+      "picks", storage::Schema({{"item_id", ValueType::kInt64},
+                                {"reason", ValueType::kString}}));
+  ASSERT_TRUE(picks.ok());
+  const int64_t seq = db_->NextStatementSeq();
+  for (int64_t id : {2, 4, 6, 9, 42}) {
+    ASSERT_TRUE(
+        (*picks)->Insert({Value::Int(id), Value::Str("p")}, seq).ok());
+  }
+  auto app = [](uint64_t* fingerprint_out) -> AppFn {
+    return [fingerprint_out](AppEnv& env) -> Status {
+      os::ProcessContext& proc = env.root_process();
+      LDV_ASSIGN_OR_RETURN(net::DbClient * db, env.OpenDbConnection(proc));
+      LDV_RETURN_IF_ERROR(
+          db->Query("UPDATE items SET val = val + 1000 WHERE id IN "
+                    "(SELECT item_id FROM picks WHERE item_id < 5)")
+              .status());
+      LDV_RETURN_IF_ERROR(
+          db->Query("DELETE FROM items WHERE id IN "
+                    "(SELECT item_id FROM picks WHERE item_id > 5)")
+              .status());
+      LDV_ASSIGN_OR_RETURN(
+          exec::ResultSet r,
+          db->Query("SELECT id, val FROM items WHERE id < 10"));
+      if (r.rows.size() != 7) {
+        return Status::Internal("expected 7 rows, got " +
+                                std::to_string(r.rows.size()));
+      }
+      *fingerprint_out = r.Fingerprint();
+      return Status::Ok();
+    };
+  };
+  uint64_t audited_fp = 0;
+  Auditor auditor(db_.get(), Options(PackageMode::kServerIncluded, "subq"));
+  auto audit = auditor.Run(app(&audited_fp));
+  ASSERT_TRUE(audit.ok()) << audit.status().ToString();
+
+  // Every picks row the two subqueries returned: item_id 2, 4 (< 5) and 6,
+  // 9, 42 (> 5) — rowids 1..5.
+  auto csv = ReadFileToString(base_ + "/packages/subq/db/data/picks.csv");
+  ASSERT_TRUE(csv.ok()) << csv.status().ToString();
+  auto rows = ParseCsv(*csv);
+  ASSERT_TRUE(rows.ok());
+  std::set<int64_t> rowids;
+  for (const auto& fields : *rows) rowids.insert(*ParseInt64(fields[0]));
+  EXPECT_EQ(rowids, (std::set<int64_t>{1, 2, 3, 4, 5}));
+
+  uint64_t replay_fp = 0;
+  auto report = ReplayPackage("subq", app(&replay_fp));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(replay_fp, audited_fp);
 }

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "storage/database.h"
 #include "storage/persistence.h"
 #include "util/fsutil.h"
+#include "util/rng.h"
 
 namespace ldv::storage {
 namespace {
@@ -128,6 +133,69 @@ TEST_F(TableTest, UpdateArchivesOldVersionWhenTracking) {
   ASSERT_NE(old_version, nullptr);
   EXPECT_EQ(old_version->values[1].AsString(), "old");
   EXPECT_EQ(table_.FindVersion(*rid, 99), nullptr);
+}
+
+// The hash index on a low-cardinality column (21 values, 100 rows each)
+// stays exact while every row is updated to another value and then
+// deleted: lookups return exactly the live matching rowids, ascending.
+TEST(TableIndexTest, LowCardinalityIndexExactUnderUpdateAndDelete) {
+  Table table(1, "t", Schema({{"id", ValueType::kInt64},
+                              {"k", ValueType::kInt64}}));
+  constexpr int kValues = 21;
+  constexpr int kRows = kValues * 100;
+  std::map<RowId, int64_t> model;  // live rowid -> k
+  for (int i = 0; i < kRows; ++i) {
+    auto rid = table.Insert({Value::Int(i), Value::Int(i % kValues)}, 1);
+    ASSERT_TRUE(rid.ok());
+    model[*rid] = i % kValues;
+  }
+  ASSERT_TRUE(table.CreateIndex(1).ok());
+  auto expect_exact = [&](const std::string& when) {
+    for (int64_t v = 0; v < kValues; ++v) {
+      std::vector<RowId> want;
+      for (const auto& [rid, k] : model) {
+        if (k == v) want.push_back(rid);
+      }
+      EXPECT_EQ(table.IndexLookup(1, Value::Int(v)), want)
+          << "k = " << v << " " << when;
+    }
+  };
+  expect_exact("after build");
+
+  std::vector<RowId> rowids;
+  for (const auto& [rid, k] : model) rowids.push_back(rid);
+  Rng rng(21);
+  for (size_t i = rowids.size(); i > 1; --i) {
+    const int64_t j = rng.Uniform(0, static_cast<int64_t>(i) - 1);
+    std::swap(rowids[i - 1], rowids[static_cast<size_t>(j)]);
+  }
+  // Every row moves to another value, then back to its first one: a
+  // removal that missed its entry would now surface the rowid twice.
+  const std::map<RowId, int64_t> first = model;
+  int64_t seq = 2;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t i = 0; i < rowids.size(); ++i) {
+      const RowId rid = rowids[i];
+      const int64_t k =
+          pass == 0 ? (first.at(rid) + 1 + static_cast<int64_t>(i % 5)) %
+                          kValues
+                    : first.at(rid);
+      ASSERT_TRUE(
+          table.Update(rid, {Value::Int(rid), Value::Int(k)}, seq++).ok());
+      model[rid] = k;
+      if (i % 300 == 0) {
+        expect_exact("after update " + std::to_string(i) + " of pass " +
+                     std::to_string(pass));
+      }
+    }
+  }
+  expect_exact("after updating every row");
+  for (size_t i = 0; i < rowids.size(); ++i) {
+    ASSERT_TRUE(table.Delete(rowids[i], seq++).ok());
+    model.erase(rowids[i]);
+    if (i % 300 == 0) expect_exact("after delete " + std::to_string(i));
+  }
+  expect_exact("after deleting every row");
 }
 
 TEST_F(TableTest, NoArchiveWithoutTracking) {

@@ -231,5 +231,74 @@ TEST(TpchAppTest, ExperimentAppAuditsAndReplaysEndToEnd) {
   ASSERT_TRUE(RemoveAll(*base).ok());
 }
 
+/// Table II end to end: every experiment query, audited and replayed in
+/// each package mode by a reduced experiment app at SF 0.001. Each replay
+/// must return the audited run's answers (the paper's claim that a package
+/// reproduces the run). At this scale Q2-1 and Q3-1, the most selective
+/// LIKE variants, match no customer, so their server-included packages hold
+/// only the updated orders.
+class TableTwoReplayTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TableTwoReplayTest, EveryModeReplaysTheAuditedFingerprint) {
+  const QuerySpec& query =
+      ExperimentQueries()[static_cast<size_t>(GetParam())];
+  auto base = MakeTempDir("ldv_table2_");
+  ASSERT_TRUE(base.ok());
+  GenOptions gen;
+  gen.scale_factor = 0.001;
+  const TpchSizes sizes = SizesFor(gen.scale_factor);
+  AppOptions app_options;
+  app_options.query_sql = query.sql;
+  app_options.num_inserts = 20;
+  app_options.num_selects = 2;
+  app_options.num_updates = 5;
+  app_options.insert_orderkey_base = sizes.orders;
+  app_options.update_orderkey_max = sizes.orders;
+  app_options.customer_max = sizes.customers;
+
+  for (PackageMode mode : {PackageMode::kServerIncluded,
+                           PackageMode::kServerExcluded, PackageMode::kPtu}) {
+    const std::string name(PackageModeName(mode));
+    Database db;
+    ASSERT_TRUE(Generate(&db, gen).ok());
+    AuditOptions audit_options;
+    audit_options.mode = mode;
+    audit_options.package_dir = *base + "/pkg_" + name;
+    audit_options.sandbox_root = *base + "/sandbox";
+    ASSERT_TRUE(MakeDirs(audit_options.sandbox_root).ok());
+    StepTimings audited;
+    Auditor auditor(&db, audit_options);
+    auto audit = auditor.Run(MakeExperimentApp(app_options, &audited));
+    ASSERT_TRUE(audit.ok()) << query.id << " " << name << ": "
+                            << audit.status().ToString();
+
+    ReplayOptions replay_options;
+    replay_options.package_dir = audit_options.package_dir;
+    replay_options.scratch_dir = *base + "/scratch_" + name;
+    auto replayer = Replayer::Open(replay_options);
+    ASSERT_TRUE(replayer.ok()) << query.id << " " << name << ": "
+                               << replayer.status().ToString();
+    StepTimings replayed;
+    auto report = (*replayer)->Run(MakeExperimentApp(app_options, &replayed));
+    ASSERT_TRUE(report.ok()) << query.id << " " << name << ": "
+                             << report.status().ToString();
+    EXPECT_EQ(replayed.result_fingerprint, audited.result_fingerprint)
+        << query.id << " " << name;
+    EXPECT_EQ(replayed.rows_returned, audited.rows_returned)
+        << query.id << " " << name;
+  }
+  ASSERT_TRUE(RemoveAll(*base).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllQueries, TableTwoReplayTest, ::testing::Range(0, 18),
+    [](const ::testing::TestParamInfo<int>& info) {
+      std::string id = ExperimentQueries()[static_cast<size_t>(info.param)].id;
+      for (char& c : id) {
+        if (c == '-') c = '_';
+      }
+      return id;
+    });
+
 }  // namespace
 }  // namespace ldv::tpch

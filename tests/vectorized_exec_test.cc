@@ -143,6 +143,57 @@ TEST_F(VectorizedExecTest, NullAndZeroArithmeticSemantics) {
   ExpectEnginesIdentical("SELECT id, val FROM items WHERE NOT (val > 0)");
 }
 
+// SQL's three-valued logic, checked against the truth table itself rather
+// than one engine against the other: false decides an AND and true decides
+// an OR even against NULL, every other mix with NULL is NULL, and NOT
+// passes NULL through. In WHERE, only TRUE qualifies.
+TEST_F(VectorizedExecTest, ThreeValuedLogicTruthTable) {
+  (void)Run("CREATE TABLE tv (a INT, b INT)", 1, false);
+  const std::vector<std::string> kTruth = {"1", "0", "NULL"};
+  for (const std::string& a : kTruth) {
+    for (const std::string& b : kTruth) {
+      (void)Run("INSERT INTO tv VALUES (" + a + ", " + b + ")", 1, false);
+    }
+  }
+  // One line per (a, b) row in insertion order: a AND b, a OR b, NOT a,
+  // NOT (a OR b).
+  const std::vector<std::vector<std::string>> kWant = {
+      {"1", "1", "0", "0"},          {"0", "1", "0", "0"},
+      {"NULL", "1", "0", "0"},       {"0", "1", "1", "0"},
+      {"0", "0", "1", "1"},          {"0", "NULL", "1", "NULL"},
+      {"NULL", "1", "NULL", "0"},    {"0", "NULL", "NULL", "NULL"},
+      {"NULL", "NULL", "NULL", "NULL"},
+  };
+  const std::string sql =
+      "SELECT a AND b, a OR b, NOT a, NOT (a OR b) FROM tv";
+  obs::Counter* fallbacks =
+      obs::MetricsRegistry::Global().counter("exec.vectorized.fallbacks");
+  for (bool vectorize : {false, true}) {
+    const int64_t f0 = fallbacks->Value();
+    ResultSet r = Run(sql, 1, vectorize);
+    if (vectorize) {
+      EXPECT_EQ(fallbacks->Value(), f0);  // the kernels ran
+    }
+    ASSERT_EQ(r.rows.size(), kWant.size());
+    for (size_t i = 0; i < kWant.size(); ++i) {
+      for (size_t c = 0; c < kWant[i].size(); ++c) {
+        const Value& v = r.rows[i][c];
+        EXPECT_EQ(v.is_null() ? "NULL" : v.ToText(), kWant[i][c])
+            << "vectorize=" << vectorize << " row " << i << " column " << c;
+      }
+    }
+    EXPECT_EQ(Run("SELECT a, b FROM tv WHERE NOT (a OR b)", 1, vectorize)
+                  .rows.size(),
+              1u);  // only (0, 0)
+    EXPECT_EQ(Run("SELECT a FROM tv WHERE (a AND b) IS NULL", 1, vectorize)
+                  .rows.size(),
+              3u);
+    EXPECT_EQ(Run("SELECT a FROM tv WHERE NOT (a AND b)", 1, vectorize)
+                  .rows.size(),
+              5u);
+  }
+}
+
 TEST_F(VectorizedExecTest, JoinKernel) {
   FillItems(2 * kMorselRows + 91, /*seed=*/303);
   FillGroups();

@@ -1,65 +1,70 @@
 #!/usr/bin/env python3
-"""Checks the bench_micro smoke run (tools/check.sh --bench-smoke).
+"""Checks the bench smoke run (tools/check.sh --bench-smoke).
 
-Asserts the observability overhead bound: with no sink configured, the
-per-operator instrumentation (one disabled-Span construction per operator
-invocation) must cost <2% of a representative query (BM_ScanFilter/250).
-Asserts the group-commit bound: at 8 concurrent writers the WAL's
-piggybacked fsync must recover >= 3x the single-writer fsync-on-commit
-throughput (DESIGN.md §9). Also validates that the LDV_METRICS_OUT
-snapshot bench_micro wrote is a well-formed metrics JSON document.
+Usage: bench_smoke_check.py BUILD_DIR
 
-Given a third argument (the BENCH_PARALLEL.json trajectory the parallel
-benchmarks emit), asserts the morsel-driven scaling bound (DESIGN.md §10):
-with >= 4 hardware threads, BM_ParallelScan plus at least one of
-BM_ParallelHashJoin / BM_ParallelAgg must reach >= 2.5x the --threads 1
-throughput at 8 threads. On boxes without enough cores the scaling bound is
-physically unreachable, so it is SKIPPED (loudly) and only a no-regression
-bound is enforced: parallel execution at 8 threads must keep >= 0.7x the
-serial throughput (the morsel machinery must not tax a serial box).
+Each gate reads one fixed-name JSON file from BUILD_DIR (the CHECKS table at
+the bottom); a missing file fails the run.
 
-Given a fourth argument (the governance-latency JSON the LDV_BENCH_GOVERNANCE_OUT
-probe emits), asserts the resource-governance responsiveness bound
-(DESIGN.md §11): a cancel landing mid-scan on the 150k-row table must
-unwind within 100 ms, and a statement deadline must not overshoot by more
-than 100 ms, at both 1 and 8 threads.
+From bench_smoke.json it asserts the observability overhead bound: with no
+sink configured, the per-operator instrumentation (one disabled-Span
+construction per operator invocation) must cost <2% of a representative
+query (BM_ScanFilter/250). It also asserts the group-commit bound: at 8
+concurrent writers the WAL's piggybacked fsync must recover >= 3x the
+single-writer fsync-on-commit throughput (DESIGN.md §9). Also validates that
+the LDV_METRICS_OUT snapshot bench_micro wrote (metrics_smoke.json) is a
+well-formed metrics JSON document.
 
-Given a fifth argument (the BENCH_CONCURRENT.json curve bench_concurrent
-emits), asserts the inter-query parallelism bound (DESIGN.md §12): with
->= 4 hardware threads, read-only QPS at 8 clients must reach >= 3x the
-single-client QPS. On boxes without enough cores the bound is physically
-unreachable, so it is SKIPPED (loudly) and only a no-regression floor is
-enforced: 8 clients must keep >= 0.7x the single-client QPS (the MVCC
-locking must not tax a serial box). The mixed workload must additionally
-show both reads and writes making progress.
+From bench_parallel.json (the trajectory the parallel benchmarks emit) it
+asserts the morsel-driven scaling bound (DESIGN.md §10): with >= 4 hardware
+threads, BM_ParallelScan plus at least one of BM_ParallelHashJoin /
+BM_ParallelAgg must reach >= 2.5x the --threads 1 throughput at 8 threads.
+On boxes without enough cores the scaling bound is physically unreachable,
+so it is SKIPPED (loudly) and only a no-regression bound is enforced:
+parallel execution at 8 threads must keep >= 0.7x the serial throughput (the
+morsel machinery must not tax a serial box).
 
-Given a sixth argument (the BENCH_PREPARED.json comparison bench_prepared
-emits), asserts the repeated-statement bound (DESIGN.md §13): with >= 4
-hardware threads, EXECUTE against a prepared handle (bind-and-execute
-through the shared plan cache) must reach >= 2x the QPS of re-sending the
-same SELECT as literal SQL. On smaller/noisier boxes the 2x bound is
-SKIPPED (loudly) and only a no-regression floor is enforced: EXECUTE must
-keep >= 0.9x the literal QPS (the cache lookup must never cost more than
-the parse/plan it saves).
+From bench_governance.json (the latency JSON the LDV_BENCH_GOVERNANCE_OUT
+probe emits) it asserts the resource-governance responsiveness bound
+(DESIGN.md §11): a cancel landing mid-scan on the 150k-row table must unwind
+within 100 ms, and a statement deadline must not overshoot by more than 100
+ms, at both 1 and 8 threads.
 
-Given a seventh argument (the BENCH_REPL.json summary bench_repl emits),
-asserts the replication bounds (DESIGN.md §14): with >= 4 hardware
-threads, failover (primary death -> promoted standby serving a write
-through the multi-endpoint client) must complete within 2 s, and the hot
-standby must serve reads at >= 0.8x the primary's QPS. On smaller boxes
-the read-ratio bound is SKIPPED (loudly) with a relaxed 0.5x floor, and
-the failover ceiling is relaxed to 10 s — a replica that takes tens of
-seconds to take over is broken on any hardware.
+From bench_concurrent.json (the curve bench_concurrent emits) it asserts the
+inter-query parallelism bound (DESIGN.md §12): with >= 4 hardware threads,
+read-only QPS at 8 clients must reach >= 3x the single-client QPS. On boxes
+without enough cores the bound is physically unreachable, so it is SKIPPED
+(loudly) and only a no-regression floor is enforced: 8 clients must keep >=
+0.7x the single-client QPS (the MVCC locking must not tax a serial box). The
+mixed workload must additionally show both reads and writes making progress.
 
-Given an eighth argument (the BENCH_VECTOR.json comparison bench_vector
-emits), asserts the vectorized-execution bound (DESIGN.md §15): with >= 4
-hardware threads, the columnar kernels must run the single-threaded
-scan-filter-agg pipeline at >= 2x the row engine's rows/s. On smaller or
-noisier boxes the 2x bound is SKIPPED (loudly) and only a no-regression
-floor is enforced: every measured kernel must keep >= 0.9x the row
-engine's throughput (batching must never cost more than it saves).
+From bench_prepared.json (the comparison bench_prepared emits) it asserts
+the repeated-statement bound (DESIGN.md §13): with >= 4 hardware threads,
+EXECUTE against a prepared handle (bind-and-execute through the shared plan
+cache) must reach >= 2x the QPS of re-sending the same SELECT as literal
+SQL. On smaller/noisier boxes the 2x bound is SKIPPED (loudly) and only a
+no-regression floor is enforced: EXECUTE must keep >= 0.9x the literal QPS
+(the cache lookup must never cost more than the parse/plan it saves).
+
+From bench_repl.json (the summary bench_repl emits) it asserts the
+replication bounds (DESIGN.md §14): with >= 4 hardware threads, failover
+(primary death -> promoted standby serving a write through the
+multi-endpoint client) must complete within 2 s, and the hot standby must
+serve reads at >= 0.8x the primary's QPS. On smaller boxes the read-ratio
+bound is SKIPPED (loudly) with a relaxed 0.5x floor, and the failover
+ceiling is relaxed to 10 s — a replica that takes tens of seconds to take
+over is broken on any hardware.
+
+From bench_vector.json (the comparison bench_vector emits) it asserts the
+vectorized-execution bound (DESIGN.md §15): with >= 4 hardware threads, the
+columnar kernels must run the single-threaded scan-filter-agg pipeline at >=
+2x the row engine's rows/s. On smaller or noisier boxes the 2x bound is
+SKIPPED (loudly) and only a no-regression floor is enforced: every measured
+kernel must keep >= 0.9x the row engine's throughput (batching must never
+cost more than it saves).
 """
 import json
+import os
 import sys
 
 PARALLEL_SPEEDUP = 2.5
@@ -336,13 +341,8 @@ def check_vector(path):
                     f" {hw}-core box (floor {VECTOR_NO_REGRESSION}x)")
 
 
-def main():
-    if len(sys.argv) not in (3, 4, 5, 6, 7, 8, 9):
-        raise SystemExit(
-            "usage: bench_smoke_check.py BENCH_JSON METRICS_JSON"
-            " [PARALLEL_JSON [GOVERNANCE_JSON [CONCURRENT_JSON"
-            " [PREPARED_JSON [REPL_JSON [VECTOR_JSON]]]]]]")
-    with open(sys.argv[1]) as f:
+def check_micro(path):
+    with open(path) as f:
         benchmarks = json.load(f)["benchmarks"]
     span_ns = real_ns(benchmarks, "BM_ObsSpanDisabled")
     query_ns = real_ns(benchmarks, "BM_ScanFilter/250")
@@ -367,7 +367,9 @@ def main():
             "bench_smoke_check: group commit recovered < 3x of the"
             " fsync-on-commit throughput at 8 writers")
 
-    with open(sys.argv[2]) as f:
+
+def check_metrics(path):
+    with open(path) as f:
         metrics = json.load(f)
     for section in ("counters", "gauges", "histograms"):
         if section not in metrics:
@@ -378,18 +380,28 @@ def main():
         raise SystemExit(
             "bench_smoke_check: bench.latency histogram missing from snapshot")
 
-    if len(sys.argv) >= 4:
-        check_parallel(sys.argv[3])
-    if len(sys.argv) >= 5:
-        check_governance(sys.argv[4])
-    if len(sys.argv) >= 6:
-        check_concurrent(sys.argv[5])
-    if len(sys.argv) >= 7:
-        check_prepared(sys.argv[6])
-    if len(sys.argv) >= 8:
-        check_repl(sys.argv[7])
-    if len(sys.argv) >= 9:
-        check_vector(sys.argv[8])
+
+# (file in the build directory, gate over it), run in this order.
+CHECKS = (
+    ("bench_smoke.json", check_micro),
+    ("metrics_smoke.json", check_metrics),
+    ("bench_parallel.json", check_parallel),
+    ("bench_governance.json", check_governance),
+    ("bench_concurrent.json", check_concurrent),
+    ("bench_prepared.json", check_prepared),
+    ("bench_repl.json", check_repl),
+    ("bench_vector.json", check_vector),
+)
+
+
+def main():
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: bench_smoke_check.py BUILD_DIR")
+    for name, check in CHECKS:
+        path = os.path.join(sys.argv[1], name)
+        if not os.path.exists(path):
+            raise SystemExit(f"bench_smoke_check: {path} missing")
+        check(path)
     print("bench_smoke_check: ok")
 
 

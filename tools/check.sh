@@ -90,11 +90,7 @@ if [[ "$BENCH_SMOKE" == 1 ]]; then
   ./build/bench/bench_prepared build/bench_prepared.json
   ./build/bench/bench_repl build/bench_repl.json
   ./build/bench/bench_vector build/bench_vector.json
-  python3 tools/bench_smoke_check.py build/bench_smoke.json \
-    build/metrics_smoke.json build/bench_parallel.json \
-    build/bench_governance.json build/bench_concurrent.json \
-    build/bench_prepared.json build/bench_repl.json \
-    build/bench_vector.json
+  python3 tools/bench_smoke_check.py build
   # Repo-root artifacts so a gate run leaves an inspectable record.
   cp build/bench_smoke.json BENCH_SMOKE.json
   cp build/bench_parallel.json BENCH_PARALLEL.json
