@@ -160,10 +160,10 @@ void AblationIndex(const BenchConfig& config) {
 
 int main() {
   BenchConfig config = BenchConfig::FromEnv();
-  std::string workdir = ldv::bench::BenchWorkdir("ablation");
+  const ldv::bench::BenchWorkdir guard("ablation");
+  const std::string& workdir = guard.path();
   AblationSlicing(config, workdir);
   AblationIndex(config);
   AblationTemporal();
-  std::printf("workdir: %s\n", workdir.c_str());
   return 0;
 }

@@ -21,7 +21,8 @@ int main() {
   BenchConfig config = BenchConfig::FromEnv();
   if (std::getenv("LDV_BENCH_INSERTS") == nullptr) config.num_inserts = 100;
   if (std::getenv("LDV_BENCH_UPDATES") == nullptr) config.num_updates = 20;
-  std::string workdir = ldv::bench::BenchWorkdir("fig8");
+  const ldv::bench::BenchWorkdir guard("fig8");
+  const std::string& workdir = guard.path();
 
   ldv::VmImageModel vm({.scale = config.scale_factor});
 
@@ -62,6 +63,5 @@ int main() {
       "selectivity; replay of server-excluded\nis fastest (linear in result "
       "size — extreme for the single-row Q3), server-included\nreplay "
       "matches or beats the full-DB configurations, and the VM is slowest.\n");
-  std::printf("workdir: %s\n", workdir.c_str());
   return 0;
 }

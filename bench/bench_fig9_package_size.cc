@@ -20,7 +20,8 @@ int main() {
   BenchConfig config = BenchConfig::FromEnv();
   if (std::getenv("LDV_BENCH_INSERTS") == nullptr) config.num_inserts = 100;
   if (std::getenv("LDV_BENCH_UPDATES") == nullptr) config.num_updates = 20;
-  std::string workdir = ldv::bench::BenchWorkdir("fig9");
+  const ldv::bench::BenchWorkdir guard("fig9");
+  const std::string& workdir = guard.path();
 
   std::printf(
       "Figure 9 — package sizes (MB), TPC-H sf=%.3f (10 executions per "
@@ -65,6 +66,5 @@ int main() {
       "relevant tuples);\nserver-excluded is smallest for low-selectivity / "
       "small-result queries and\novertakes server-included when 10x the "
       "result outweighs the input subset.\n");
-  std::printf("workdir: %s\n", workdir.c_str());
   return 0;
 }

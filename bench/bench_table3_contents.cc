@@ -21,7 +21,8 @@ int main() {
   BenchConfig config = BenchConfig::FromEnv();
   config.num_inserts = 100;
   config.num_updates = 20;
-  std::string workdir = ldv::bench::BenchWorkdir("table3");
+  const ldv::bench::BenchWorkdir guard("table3");
+  const std::string& workdir = guard.path();
   auto query = ldv::tpch::FindQuery("Q1-1");
   LDV_CHECK(query.ok());
 
@@ -66,6 +67,5 @@ int main() {
       "LDV package\nships the server with an empty data directory plus the "
       "relevant tuples (its DB\nprovenance); the server-excluded package "
       "ships neither server nor data files.\n");
-  std::printf("workdir: %s\n", workdir.c_str());
   return 0;
 }

@@ -16,7 +16,8 @@ using ldv::bench::RunResult;
 
 int main() {
   BenchConfig config = BenchConfig::FromEnv();
-  std::string workdir = ldv::bench::BenchWorkdir("vmi");
+  const ldv::bench::BenchWorkdir guard("vmi");
+  const std::string& workdir = guard.path();
 
   std::printf("§IX-F — VM image vs LDV packages (sf=%.3f)\n\n",
               config.scale_factor);
@@ -70,6 +71,5 @@ int main() {
       "\nexpected shape (paper §IX-F / Fig. 8b): VMI is one to two orders of "
       "magnitude\nlarger than LDV packages and replays slightly slower than "
       "native; LDV replay is\nthe same or faster than native.\n");
-  std::printf("workdir: %s\n", workdir.c_str());
   return 0;
 }

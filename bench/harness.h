@@ -258,11 +258,31 @@ inline tpch::StepTimings RunUnaudited(const tpch::QuerySpec& query,
   return timings;
 }
 
-inline std::string BenchWorkdir(const char* name) {
-  auto dir = MakeTempDir(std::string("ldv_bench_") + name + "_");
-  LDV_CHECK(dir.ok());
-  return *dir;
-}
+/// A fresh temporary directory for one benchmark binary's packages,
+/// sandboxes and scratch files, removed with its contents when the guard
+/// goes out of scope.
+class BenchWorkdir {
+ public:
+  explicit BenchWorkdir(const char* name) {
+    auto dir = MakeTempDir(std::string("ldv_bench_") + name + "_");
+    LDV_CHECK(dir.ok());
+    path_ = *dir;
+  }
+  ~BenchWorkdir() {
+    if (Status s = RemoveAll(path_); !s.ok()) {
+      std::fprintf(stderr, "bench: cannot remove %s: %s\n", path_.c_str(),
+                   s.ToString().c_str());
+    }
+  }
+
+  BenchWorkdir(const BenchWorkdir&) = delete;
+  BenchWorkdir& operator=(const BenchWorkdir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// The DB server binary embedded into packages. Debug builds carry tens of
 /// MB of debug info that would dwarf the data in Fig. 9's size comparison, so

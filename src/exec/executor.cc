@@ -1,7 +1,6 @@
 #include "exec/executor.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -66,22 +65,43 @@ uint64_t ResultSet::Fingerprint() const {
   return h;
 }
 
-std::vector<ProvTupleRecord> CollectProvTuples(const ExecContext& ctx,
-                                               const storage::Database& db) {
-  std::vector<ProvTupleRecord> out;
-  out.reserve(ctx.prov_tuples.size());
-  for (const auto& [vid, values] : ctx.prov_tuples) {
-    ProvTupleRecord rec;
-    rec.vid = vid;
-    const Table* table = db.FindTableById(vid.table_id);
-    rec.table = table != nullptr ? table->name() : "?";
-    rec.values = values;
-    out.push_back(std::move(rec));
+Result<std::vector<ProvTupleRecord>> CollectProvTuples(
+    const storage::Database& db, const std::vector<LineageSet>& lineage,
+    const TupleVidSet* shipped) {
+  size_t total = 0;
+  for (const LineageSet& set : lineage) total += set.size();
+  std::vector<TupleVid> vids;
+  vids.reserve(total);
+  for (const LineageSet& set : lineage) {
+    vids.insert(vids.end(), set.begin(), set.end());
   }
-  std::sort(out.begin(), out.end(),
-            [](const ProvTupleRecord& a, const ProvTupleRecord& b) {
-              return a.vid < b.vid;
-            });
+  std::sort(vids.begin(), vids.end());
+  vids.erase(std::unique(vids.begin(), vids.end()), vids.end());
+
+  std::vector<ProvTupleRecord> out(vids.size());
+  const Table* table = nullptr;
+  for (size_t i = 0; i < vids.size(); ++i) {
+    const TupleVid& vid = vids[i];
+    if (table == nullptr || table->id() != vid.table_id) {
+      table = db.FindTableById(vid.table_id);
+      if (table == nullptr) {
+        return Status::Internal("provenance names an unknown table id " +
+                                std::to_string(vid.table_id));
+      }
+    }
+    ProvTupleRecord& rec = out[i];
+    rec.vid = vid;
+    rec.table = table->name();
+    if (shipped != nullptr && shipped->contains(vid)) continue;
+    const storage::RowVersion* row = table->Find(vid.rowid);
+    if (row == nullptr || row->version != vid.version) {
+      return Status::Internal(StrFormat(
+          "provenance tuple %s rowid %lld version %lld is no longer live",
+          table->name().c_str(), static_cast<long long>(vid.rowid),
+          static_cast<long long>(vid.version)));
+    }
+    rec.values = row->values;
+  }
   return out;
 }
 
@@ -173,8 +193,14 @@ Result<ResultSet> Executor::ExecuteParsed(const Statement& stmt,
       if (where != nullptr && ExprHasSubquery(*where)) {
         LDV_ASSIGN_OR_RETURN(flattened_where,
                              FlattenExpr(*where, stmt.provenance, options,
-                                         &ambient_lineage, &ambient));
+                                         &ambient_lineage));
         where = flattened_where.get();
+        // The subqueries read the pre-state: copy it before it changes.
+        if (stmt.provenance) {
+          LDV_ASSIGN_OR_RETURN(ambient,
+                               CollectProvTuples(*db_, {ambient_lineage},
+                                                 options.shipped_vids));
+        }
       }
       Result<ResultSet> result =
           stmt.kind == StatementKind::kUpdate
@@ -215,18 +241,15 @@ Result<ResultSet> Executor::ExecuteParsed(const Statement& stmt,
 
 Result<std::unique_ptr<sql::Expr>> Executor::FlattenExpr(
     const sql::Expr& expr, bool provenance, const ExecOptions& options,
-    LineageSet* ambient_lineage, std::vector<ProvTupleRecord>* ambient) {
-  // Executes one subquery and folds its provenance into the ambient sets.
+    LineageSet* ambient_lineage) {
+  // Executes one subquery and folds its lineage into the ambient set.
   auto run_subquery = [&](const sql::SelectStmt& subquery)
       -> Result<ResultSet> {
     LDV_ASSIGN_OR_RETURN(ResultSet sub,
-                         ExecSelect(subquery, provenance, options));
+                         RunSelect(subquery, provenance, options));
     if (provenance) {
       for (const LineageSet& set : sub.lineage) {
         MergeLineage(ambient_lineage, set);
-      }
-      for (ProvTupleRecord& rec : sub.prov_tuples) {
-        ambient->push_back(std::move(rec));
       }
     }
     return sub;
@@ -263,7 +286,7 @@ Result<std::unique_ptr<sql::Expr>> Executor::FlattenExpr(
         LDV_ASSIGN_OR_RETURN(
             std::unique_ptr<sql::Expr> probe,
             FlattenExpr(*expr.children[0], provenance, options,
-                        ambient_lineage, ambient));
+                        ambient_lineage));
         out->children.push_back(std::move(probe));
         for (const Tuple& row : sub.rows) {
           out->children.push_back(sql::MakeLiteral(row[0]));
@@ -279,7 +302,7 @@ Result<std::unique_ptr<sql::Expr>> Executor::FlattenExpr(
   for (const auto& child : expr.children) {
     LDV_ASSIGN_OR_RETURN(std::unique_ptr<sql::Expr> flattened,
                          FlattenExpr(*child, provenance, options,
-                                     ambient_lineage, ambient));
+                                     ambient_lineage));
     clone->children.push_back(std::move(flattened));
   }
   return clone;
@@ -287,14 +310,13 @@ Result<std::unique_ptr<sql::Expr>> Executor::FlattenExpr(
 
 Result<std::unique_ptr<sql::SelectStmt>> Executor::FlattenSelect(
     const sql::SelectStmt& select, bool provenance,
-    const ExecOptions& options, LineageSet* ambient_lineage,
-    std::vector<ProvTupleRecord>* ambient) {
+    const ExecOptions& options, LineageSet* ambient_lineage) {
   std::unique_ptr<sql::SelectStmt> out = sql::CloneSelect(select);
   auto flatten_in_place =
       [&](std::unique_ptr<sql::Expr>* slot) -> Status {
     if (*slot == nullptr || !ExprHasSubquery(**slot)) return Status::Ok();
     LDV_ASSIGN_OR_RETURN(*slot, FlattenExpr(**slot, provenance, options,
-                                            ambient_lineage, ambient));
+                                            ambient_lineage));
     return Status::Ok();
   };
   for (auto& item : out->items) LDV_RETURN_IF_ERROR(flatten_in_place(&item.expr));
@@ -311,16 +333,27 @@ Result<std::unique_ptr<sql::SelectStmt>> Executor::FlattenSelect(
 Result<ResultSet> Executor::ExecSelect(const sql::SelectStmt& select,
                                        bool provenance,
                                        const ExecOptions& options) {
+  LDV_ASSIGN_OR_RETURN(ResultSet result,
+                       RunSelect(select, provenance, options));
+  if (provenance) {
+    LDV_ASSIGN_OR_RETURN(
+        result.prov_tuples,
+        CollectProvTuples(*db_, result.lineage, options.shipped_vids));
+  }
+  return result;
+}
+
+Result<ResultSet> Executor::RunSelect(const sql::SelectStmt& select,
+                                      bool provenance,
+                                      const ExecOptions& options) {
   // Evaluate uncorrelated subqueries first (their provenance becomes
   // ambient lineage shared by every result row).
   const sql::SelectStmt* effective = &select;
   std::unique_ptr<sql::SelectStmt> flattened;
   LineageSet ambient_lineage;
-  std::vector<ProvTupleRecord> ambient;
   if (SelectHasSubquery(select)) {
-    LDV_ASSIGN_OR_RETURN(flattened,
-                         FlattenSelect(select, provenance, options,
-                                       &ambient_lineage, &ambient));
+    LDV_ASSIGN_OR_RETURN(flattened, FlattenSelect(select, provenance, options,
+                                                  &ambient_lineage));
     effective = flattened.get();
   }
 
@@ -348,22 +381,7 @@ Result<ResultSet> Executor::ExecSelect(const sql::SelectStmt& select,
       for (LineageSet& set : result.lineage) {
         MergeLineage(&set, ambient_lineage);
       }
-      for (const ProvTupleRecord& rec : ambient) {
-        ctx.prov_tuples.emplace(rec.vid, rec.values);
-      }
     }
-    // Scans cache every tuple that passed their local filter, but the
-    // statement's provenance is only what some result row's Lineage actually
-    // references (e.g. rows eliminated by a join contribute nothing).
-    std::unordered_set<TupleVid, storage::TupleVidHash> referenced;
-    for (const LineageSet& set : result.lineage) {
-      referenced.insert(set.begin(), set.end());
-    }
-    for (auto it = ctx.prov_tuples.begin(); it != ctx.prov_tuples.end();) {
-      it = referenced.contains(it->first) ? std::next(it)
-                                          : ctx.prov_tuples.erase(it);
-    }
-    result.prov_tuples = CollectProvTuples(ctx, *db_);
   }
   return result;
 }
@@ -408,11 +426,10 @@ Result<ResultSet> Executor::ExecExplain(const Statement& stmt,
     const sql::SelectStmt* effective = stmt.select.get();
     std::unique_ptr<sql::SelectStmt> flattened;
     LineageSet ambient_lineage;
-    std::vector<ProvTupleRecord> ambient;
     if (SelectHasSubquery(*stmt.select)) {
       LDV_ASSIGN_OR_RETURN(flattened,
                            FlattenSelect(*stmt.select, /*provenance=*/false,
-                                         options, &ambient_lineage, &ambient));
+                                         options, &ambient_lineage));
       effective = flattened.get();
     }
     LDV_ASSIGN_OR_RETURN(SelectPlan plan, PlanSelect(db_, *effective));

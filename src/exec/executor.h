@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -18,12 +19,18 @@ struct SelectPlan;
 
 /// One tuple version referenced by a statement's provenance, with its values
 /// snapshot — what Perm's rewritten query returns alongside the results and
-/// what the packager persists into the package's CSV files.
+/// what the packager persists into the package's CSV files. `values` is
+/// empty when the statement ran with ExecOptions::shipped_vids and the
+/// version was in that set: the session already holds its values
+/// (DESIGN.md §17).
 struct ProvTupleRecord {
   storage::TupleVid vid;
   std::string table;
   storage::Tuple values;
 };
+
+/// A set of tuple versions, e.g. those whose values a session was sent.
+using TupleVidSet = std::unordered_set<storage::TupleVid, storage::TupleVidHash>;
 
 /// Provenance of one DML effect.
 struct DmlRecord {
@@ -84,6 +91,11 @@ struct ExecOptions {
   /// engine, kept only as the reference the differential tests and
   /// bench_vector compare against; results are bit-identical either way.
   bool vectorize = true;
+  /// Tuple versions whose values the client already holds; may be null.
+  /// Provenance records of these versions come back without values
+  /// (DESIGN.md §17). Read-only here: the session layer adds the versions
+  /// a statement shipped once it has succeeded.
+  const TupleVidSet* shipped_vids = nullptr;
 };
 
 /// The context a statement executes in: `db`, the client-assigned ids, the
@@ -124,8 +136,13 @@ class Executor {
   storage::Database* db() { return db_; }
 
  private:
+  /// RunSelect plus, under provenance, the statement's provenance records.
   Result<ResultSet> ExecSelect(const sql::SelectStmt& select, bool provenance,
                                const ExecOptions& options);
+  /// Runs a SELECT: rows, and under provenance their Lineage (ambient
+  /// subquery lineage merged in), but no provenance records.
+  Result<ResultSet> RunSelect(const sql::SelectStmt& select, bool provenance,
+                              const ExecOptions& options);
   /// EXPLAIN [ANALYZE] <select>: returns one "QUERY PLAN" text column, one
   /// row per plan-tree line (Postgres style). ANALYZE executes the query
   /// with profiling and attaches the structured profile to the result.
@@ -145,21 +162,26 @@ class Executor {
   /// depends on them.
   Result<std::unique_ptr<sql::Expr>> FlattenExpr(
       const sql::Expr& expr, bool provenance, const ExecOptions& options,
-      LineageSet* ambient_lineage, std::vector<ProvTupleRecord>* ambient);
+      LineageSet* ambient_lineage);
 
   /// Clone of `select` with all subqueries flattened (null when `select`
   /// contains none).
   Result<std::unique_ptr<sql::SelectStmt>> FlattenSelect(
       const sql::SelectStmt& select, bool provenance,
-      const ExecOptions& options, LineageSet* ambient_lineage,
-      std::vector<ProvTupleRecord>* ambient);
+      const ExecOptions& options, LineageSet* ambient_lineage);
 
   storage::Database* db_;
 };
 
-/// Converts the ExecContext prov-tuple map into sorted ProvTupleRecords.
-std::vector<ProvTupleRecord> CollectProvTuples(const ExecContext& ctx,
-                                               const storage::Database& db);
+/// The provenance records of every tuple version some set in `lineage`
+/// references, one per version, in vid order. Each version's values are
+/// copied once, out of its live row, unless it is in `shipped` (may be
+/// null). Must run before the statement mutates anything: lineage-tracked
+/// scans read live rows only, and no writer runs while a provenance
+/// statement holds the engine (DESIGN.md §17).
+Result<std::vector<ProvTupleRecord>> CollectProvTuples(
+    const storage::Database& db, const std::vector<LineageSet>& lineage,
+    const TupleVidSet* shipped);
 
 }  // namespace ldv::exec
 

@@ -192,8 +192,7 @@ ScanNode::ScanNode(storage::Table* table, const std::string& alias,
   }
 }
 
-Status ScanNode::EmitRow(ExecContext* ctx, RowVersion* row, Batch* out,
-                         ProvRecords* prov) {
+Status ScanNode::EmitRow(ExecContext* ctx, RowVersion* row, Batch* out) {
   Tuple values = row->values;
   if (expose_prov_columns_) {
     values.push_back(Value::Int(row->rowid));
@@ -213,7 +212,6 @@ Status ScanNode::EmitRow(ExecContext* ctx, RowVersion* row, Batch* out,
     row->used_by_query = ctx->query_id;
     row->used_by_process = ctx->process_id;
     out->lineage.push_back({vid});
-    prov->emplace_back(vid, row->values);
   }
   out->rows.push_back(std::move(values));
   return Status::Ok();
@@ -227,7 +225,6 @@ std::string ScanNode::detail() const {
 }
 
 Result<Batch> ScanNode::ExecuteImpl(ExecContext* ctx) {
-  ProvRecords prov;
   Batch out;
   // Snapshot-isolated scan (DESIGN.md §12): when the table carries
   // mutations newer than the snapshot epoch, every slot resolves to the
@@ -247,7 +244,7 @@ Result<Batch> ScanNode::ExecuteImpl(ExecContext* ctx) {
          table_->IndexLookup(probe_column_, probe_value_)) {
       RowVersion* row = table_->FindMutable(rowid);
       if (row == nullptr) continue;
-      LDV_RETURN_IF_ERROR(EmitRow(ctx, row, &out, &prov));
+      LDV_RETURN_IF_ERROR(EmitRow(ctx, row, &out));
     }
   } else {
     std::vector<RowVersion>& rows = table_->mutable_rows();
@@ -255,8 +252,7 @@ Result<Batch> ScanNode::ExecuteImpl(ExecContext* ctx) {
     // Emits the version of rows[i] this statement may see. Snapshot reads
     // never track lineage, so the cast-away const on an archived version is
     // never written through (EmitRow mutates only under track_lineage).
-    auto emit_visible = [&](size_t i, Batch* batch,
-                            ProvRecords* records) -> Status {
+    auto emit_visible = [&](size_t i, Batch* batch) -> Status {
       RowVersion* row = &rows[i];
       if (versioned) {
         const RowVersion* visible = table_->VisibleVersion(*row, epoch);
@@ -265,7 +261,7 @@ Result<Batch> ScanNode::ExecuteImpl(ExecContext* ctx) {
       } else if (row->deleted) {
         return Status::Ok();
       }
-      return EmitRow(ctx, row, batch, records);
+      return EmitRow(ctx, row, batch);
     };
     // LIMIT pushdown (no ORDER BY above): stop at the first morsel boundary
     // where the limit is reached. Runs serially — the rows wanted are a
@@ -283,42 +279,31 @@ Result<Batch> ScanNode::ExecuteImpl(ExecContext* ctx) {
         const size_t begin = m * kMorselRows;
         const size_t end = std::min(n, begin + kMorselRows);
         for (size_t i = begin; i < end; ++i) {
-          LDV_RETURN_IF_ERROR(emit_visible(i, &out, &prov));
+          LDV_RETURN_IF_ERROR(emit_visible(i, &out));
         }
       }
     } else if (!ctx->parallel() || NumMorsels(n) <= 1) {
       out.rows.reserve(n);
       if (ctx->track_lineage) out.lineage.reserve(n);
       for (size_t i = 0; i < n; ++i) {
-        LDV_RETURN_IF_ERROR(emit_visible(i, &out, &prov));
+        LDV_RETURN_IF_ERROR(emit_visible(i, &out));
       }
     } else {
       // Morsel-parallel scan with the pushed-down filter fused into each
       // morsel; per-morsel outputs concatenate to the serial emission order.
       std::vector<Batch> parts(NumMorsels(n));
-      std::vector<ProvRecords> part_prov(parts.size());
       LDV_RETURN_IF_ERROR(RunMorsels(
           ctx, &stats_, n,
           [&](size_t begin, size_t end, size_t morsel) -> Status {
             Batch& part = parts[morsel];
             part.rows.reserve(end - begin);
             for (size_t i = begin; i < end; ++i) {
-              LDV_RETURN_IF_ERROR(
-                  emit_visible(i, &part, &part_prov[morsel]));
+              LDV_RETURN_IF_ERROR(emit_visible(i, &part));
             }
             return Status::Ok();
           }));
       out = ConcatBatches(std::move(parts));
-      size_t total = 0;
-      for (const ProvRecords& records : part_prov) total += records.size();
-      prov.reserve(total);
-      for (ProvRecords& records : part_prov) {
-        std::move(records.begin(), records.end(), std::back_inserter(prov));
-      }
     }
-  }
-  for (auto& [vid, values] : prov) {
-    ctx->prov_tuples.emplace(vid, std::move(values));
   }
   return out;
 }

@@ -33,10 +33,6 @@ struct ExecContext {
   /// result row of the outer query conservatively depends on the tuples the
   /// subquery read, since they decided its predicate values.
   LineageSet ambient_lineage;
-  /// Values of every tuple version that appeared in some lineage set,
-  /// collected so the caller can persist provenance without re-querying.
-  std::unordered_map<storage::TupleVid, storage::Tuple, storage::TupleVidHash>
-      prov_tuples;
   /// Worker pool for morsel-parallel operators; null or dop <= 1 runs every
   /// operator on the calling thread (the decomposition stays the same, so
   /// results are identical — see kMorselRows).
@@ -205,12 +201,7 @@ class ScanNode final : public PlanNode {
   Result<ColumnarResult> ExecuteColumnarImpl(ExecContext* ctx) override;
 
  private:
-  /// Tuple versions a morsel's rows contributed to lineage; merged into
-  /// ExecContext::prov_tuples after the (possibly parallel) scan finishes.
-  using ProvRecords = std::vector<std::pair<storage::TupleVid, storage::Tuple>>;
-
-  Status EmitRow(ExecContext* ctx, storage::RowVersion* row, Batch* out,
-                 ProvRecords* prov);
+  Status EmitRow(ExecContext* ctx, storage::RowVersion* row, Batch* out);
 
   storage::Table* table_;
   std::string alias_;

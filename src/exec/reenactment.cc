@@ -61,6 +61,11 @@ Tuple BaseValues(const Table& table, const Tuple& row) {
   return Tuple(row.begin(), row.begin() + table.schema().num_columns());
 }
 
+/// True when the client already holds the values of `vid` (DESIGN.md §17).
+bool AlreadyShipped(const ExecOptions& options, const TupleVid& vid) {
+  return options.shipped_vids != nullptr && options.shipped_vids->contains(vid);
+}
+
 }  // namespace
 
 Result<ResultSet> ExecUpdate(storage::Database* db,
@@ -118,7 +123,9 @@ Result<ResultSet> ExecUpdate(storage::Database* db,
       ProvTupleRecord prov;
       prov.vid = prior;
       prov.table = table->name();
-      prov.values = BaseValues(*table, old_row);
+      if (!AlreadyShipped(options, prior)) {
+        prov.values = BaseValues(*table, old_row);
+      }
       result.prov_tuples.push_back(std::move(prov));
     }
   }
@@ -156,7 +163,9 @@ Result<ResultSet> ExecDelete(storage::Database* db, const sql::DeleteStmt& del,
       ProvTupleRecord prov;
       prov.vid = prior;
       prov.table = table->name();
-      prov.values = BaseValues(*table, old_row);
+      if (!AlreadyShipped(options, prior)) {
+        prov.values = BaseValues(*table, old_row);
+      }
       result.prov_tuples.push_back(std::move(prov));
     }
   }

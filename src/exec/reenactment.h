@@ -23,7 +23,8 @@ namespace ldv::exec {
 ///     to the prior version (updates) or recording the removed version
 ///     (deletes), and
 ///   - the prior versions' values are returned in `prov_tuples` so they can
-///     be persisted into a package.
+///     be persisted into a package (without values for the versions in
+///     ExecOptions::shipped_vids).
 /// `where` is the statement's (possibly subquery-flattened) predicate; null
 /// matches every row.
 Result<ResultSet> ExecUpdate(storage::Database* db,

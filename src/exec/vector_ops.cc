@@ -169,10 +169,8 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
   // row-at-a-time — correctness never depends on the data being clean.
   std::atomic<bool> strict_abort{false};
 
-  using ProvRecords = std::vector<std::pair<TupleVid, Tuple>>;
   const size_t num_morsels = NumMorsels(n);
   std::vector<ColumnBatch> parts(num_morsels);
-  std::vector<ProvRecords> part_prov(num_morsels);
 
   auto scan_morsel = [&](size_t begin, size_t end, size_t morsel) -> Status {
     if (strict_abort.load(std::memory_order_relaxed)) return Status::Ok();
@@ -261,7 +259,6 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
       row->used_by_query = ctx->query_id;
       row->used_by_process = ctx->process_id;
       part.lineage.push_back({vid});
-      part_prov[morsel].emplace_back(vid, row->values);
     };
     if (filter_ == nullptr) {
       part.cols = std::move(cand.cols);
@@ -320,8 +317,8 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
   }
 
   if (strict_abort.load(std::memory_order_relaxed)) {
-    // Already-applied lineage stamps are idempotent for this statement and
-    // the row path re-collects every prov record, so a clean re-run is safe.
+    // Already-applied lineage stamps are idempotent for this statement, so
+    // a clean re-run is safe.
     LDV_ASSIGN_OR_RETURN(Batch fallback_rows, ExecuteImpl(ctx));
     return WrapRows(std::move(fallback_rows));
   }
@@ -331,11 +328,6 @@ Result<ColumnarResult> ScanNode::ExecuteColumnarImpl(ExecContext* ctx) {
   out.batches = batches;
   out.columns = ConcatColumnBatches(std::move(parts));
   if (out.columns.cols.empty()) out.columns.cols.resize(ncols);
-  for (ProvRecords& records : part_prov) {
-    for (auto& [vid, values] : records) {
-      ctx->prov_tuples.emplace(vid, std::move(values));
-    }
-  }
   return out;
 }
 

@@ -108,8 +108,26 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
     }
   }
 
-  // Parse once to classify the statement and find the touched tables.
-  LDV_ASSIGN_OR_RETURN(sql::Statement parsed, sql::Parse(request.sql));
+  // Prepared-statement protocol verbs carry a handle rather than a
+  // statement (an EXECUTE has no text at all): classify them by kind. They
+  // are refused above under server-included audit, so nothing below needs
+  // their parse.
+  sql::Statement parsed;
+  switch (request.kind) {
+    case net::RequestKind::kPrepare:
+      parsed.kind = sql::StatementKind::kPrepare;
+      break;
+    case net::RequestKind::kExecute:
+      parsed.kind = sql::StatementKind::kExecute;
+      break;
+    case net::RequestKind::kDeallocate:
+      parsed.kind = sql::StatementKind::kDeallocate;
+      break;
+    default:
+      // Parse once to classify the statement and find the touched tables.
+      LDV_ASSIGN_OR_RETURN(parsed, sql::Parse(request.sql));
+      break;
+  }
 
   bool provenance_capture = false;
   if (server_included) {
@@ -164,6 +182,9 @@ Result<exec::ResultSet> AuditingDbClient::Execute(
   }
   tagged.process_id = process_id_;
   tagged.query_id = record.query_id;
+  // The auditor keeps the first values it receives of every tuple version,
+  // so the server may send each one once per connection (DESIGN.md §17).
+  tagged.elide_shipped_values = server_included;
 
   record.t.begin = auditor_->clock_.Tick();
   LDV_ASSIGN_OR_RETURN(exec::ResultSet result, backend_->Execute(tagged));

@@ -23,7 +23,8 @@ class Auditor;
 /// tuples of any WHERE subquery, as its provenance. Server-included audit
 /// refuses, with NotSupported, the statements whose provenance it cannot
 /// capture: PREPARE/EXECUTE/DEALLOCATE (SQL or protocol verb) and
-/// COPY ... TO.
+/// COPY ... TO. It also sets DbRequest::elide_shipped_values, so the server
+/// sends each tuple version's values once per connection (DESIGN.md §17).
 class AuditingDbClient final : public net::DbClient {
  public:
   AuditingDbClient(net::DbClient* backend, Auditor* auditor,

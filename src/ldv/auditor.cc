@@ -231,6 +231,16 @@ Result<std::ofstream*> Auditor::StreamFor(const std::string& relative_path) {
 
 Status Auditor::PersistProvTuple(const exec::ProvTupleRecord& tuple) {
   if (persisted_vids_.contains(tuple.vid)) return Status::Ok();
+  if (tuple.values.empty()) {
+    // The server elided values it believes this connection already holds
+    // (DESIGN.md §17); packaging the tuple without them would replay
+    // against missing data.
+    return Status::Internal(StrFormat(
+        "server sent no values for tuple %s rowid %lld version %lld, which "
+        "this audit has not received before",
+        tuple.table.c_str(), static_cast<long long>(tuple.vid.rowid),
+        static_cast<long long>(tuple.vid.version)));
+  }
   persisted_vids_.insert(tuple.vid);
   CsvWriter row;
   std::vector<std::string> fields;
@@ -291,7 +301,8 @@ Status Auditor::OnDbStatement(const DbStatementRecord& record) {
 
   // --- Server-included: persist relevant tuples + build DB-side trace. ---
   // Input side: every tuple version in the statement's provenance that the
-  // application did not itself create is packaged (§VII-D).
+  // application did not itself create is packaged (§VII-D), with the first
+  // values received for it; later records of it may carry none.
   for (const exec::ProvTupleRecord& tuple : result.prov_tuples) {
     if (created_vids_.contains(tuple.vid)) continue;
     LDV_RETURN_IF_ERROR(PersistProvTuple(tuple));

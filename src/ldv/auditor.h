@@ -119,8 +119,10 @@ class Auditor final : public os::OsEventSink, public AppEnv {
   /// to the package.
   Status OnDbStatement(const DbStatementRecord& record);
 
-  /// Appends one tuple to its table's CSV stream; FlushStreams() pushes the
-  /// statement's tuples out and reports a short write.
+  /// Appends one tuple to its table's CSV stream unless it is already
+  /// persisted; fails for a record without values (an elided one) of a
+  /// tuple that is not. FlushStreams() pushes the statement's tuples out
+  /// and reports a short write.
   Status PersistProvTuple(const exec::ProvTupleRecord& tuple);
   Status FlushStreams();
   /// Open-once appender for package files streamed during the run (the

@@ -344,6 +344,7 @@ Result<exec::ResultSet> EngineHandle::ExecuteStatement(
 
   uint64_t sync_lsn = 0;
   Result<exec::ResultSet> result = Status::Internal("unreachable");
+  std::shared_ptr<exec::TupleVidSet> shipped;
   {
     std::unique_lock<std::mutex> lock(mu_);
     // Sliced wait for the engine: a cancel/deadline must be able to kick a
@@ -412,6 +413,9 @@ Result<exec::ResultSet> EngineHandle::ExecuteStatement(
       const bool guarded = mutates && !in_txn && wal_ != nullptr;
 
       const int64_t seq_before = db()->current_statement_seq();
+      if (request.elide_shipped_values && stmt.provenance) {
+        shipped = ShippedSet(session_id);
+      }
       if (!acquired.ok()) {
         result = acquired;  // cancelled while waiting for a data lock
       } else {
@@ -420,6 +424,7 @@ Result<exec::ResultSet> EngineHandle::ExecuteStatement(
         options.process_id = request.process_id;
         options.query_id = request.query_id;
         options.governor = &governor;
+        options.shipped_vids = shipped.get();
         const int64_t start = NowNanos();
         result = executor_.ExecuteParsed(stmt, options);
         statement_latency_->Observe((NowNanos() - start) / 1000);
@@ -472,6 +477,13 @@ Result<exec::ResultSet> EngineHandle::ExecuteStatement(
           MaybeCheckpointLocked();
         }
       }
+      if (result.ok() && shipped != nullptr) {
+        // The statement succeeded: its values are on their way to the
+        // session, which will not be sent them again.
+        for (const exec::ProvTupleRecord& rec : result->prov_tuples) {
+          shipped->insert(rec.vid);
+        }
+      }
       if (txn_owner_ == kNoSession) {
         // Commit point: the statement's effects (or its rolled-back
         // pre-state) are now the committed epoch new readers pin, and
@@ -489,12 +501,15 @@ Result<exec::ResultSet> EngineHandle::ExecuteStatement(
   // the group is in the log (commit outcome unknown until the next sync or
   // recovery), the classic ack-in-doubt.
   if (result.ok() && sync_lsn != 0) {
-    LDV_RETURN_IF_ERROR(wal_->Sync(sync_lsn));
+    Status acked = wal_->Sync(sync_lsn);
     // Semi-sync replication: the commit is not acknowledged until every
     // live standby has it (also outside mu_, so the stream keeps serving
     // while committers wait).
-    if (commit_ack_barrier_) {
-      LDV_RETURN_IF_ERROR(commit_ack_barrier_(sync_lsn));
+    if (acked.ok() && commit_ack_barrier_) acked = commit_ack_barrier_(sync_lsn);
+    if (!acked.ok()) {
+      // The client gets an error instead of the values just marked shipped.
+      if (shipped != nullptr) ForgetShipped(session_id);
+      return acked;
     }
   }
   return result;
@@ -642,12 +657,28 @@ Result<exec::ResultSet> EngineHandle::DeallocateStatement(
   return exec::ResultSet{};
 }
 
+std::shared_ptr<exec::TupleVidSet> EngineHandle::ShippedSet(
+    int64_t session_id) {
+  std::lock_guard<std::mutex> lock(shipped_mu_);
+  std::shared_ptr<exec::TupleVidSet>& set = shipped_[session_id];
+  if (set == nullptr) set = std::make_shared<exec::TupleVidSet>();
+  return set;
+}
+
+void EngineHandle::ForgetShipped(int64_t session_id) {
+  std::lock_guard<std::mutex> lock(shipped_mu_);
+  shipped_.erase(session_id);
+}
+
 void EngineHandle::AbortSession(int64_t session_id) {
   {
     // Connection teardown drops the session's prepared statements with it.
     std::lock_guard<std::mutex> lock(prepared_mu_);
     prepared_.erase(session_id);
   }
+  // And its shipped-values set: a reconnect gets a new session id, whose
+  // set starts empty, so nothing would read this one again.
+  ForgetShipped(session_id);
   std::lock_guard<std::mutex> lock(mu_);
   if (txn_owner_ != session_id) return;
   // Same drill as ROLLBACK: readers drain before undo rewrites rows.

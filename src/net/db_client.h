@@ -112,7 +112,8 @@ class EngineHandle {
   void AttachWal(std::unique_ptr<storage::Wal> wal,
                  EngineDurabilityOptions durability);
 
-  /// Rolls back the session's open transaction, if any (connection teardown).
+  /// Connection teardown: rolls back the session's open transaction, if
+  /// any, and drops its prepared statements and its shipped-values set.
   void AbortSession(int64_t session_id);
 
   /// Makes everything appended so far durable (shutdown drain). No-op
@@ -230,6 +231,11 @@ class EngineHandle {
   /// DEALLOCATE: drops one handle, or all of the session's when `all`.
   Result<exec::ResultSet> DeallocateStatement(const std::string& name,
                                               bool all, int64_t session_id);
+  /// The session's shipped-values set, created empty on first use.
+  std::shared_ptr<exec::TupleVidSet> ShippedSet(int64_t session_id);
+  /// Drops the session's shipped-values set: its next statement resends
+  /// every value.
+  void ForgetShipped(int64_t session_id);
   /// Takes every table's data lock exclusively, ascending by id (the
   /// acquisition order that makes the hierarchy deadlock-free). Used by
   /// transaction rollback, whose undo rewrites rows across tables.
@@ -251,6 +257,14 @@ class EngineHandle {
   std::map<int64_t,
            std::map<std::string, std::shared_ptr<const PreparedStatement>>>
       prepared_;
+
+  /// Per session, the tuple versions whose values it was sent in answer to
+  /// requests with elide_shipped_values (DESIGN.md §17). The map is guarded
+  /// by its own mutex; a set's contents are read and grown only by
+  /// provenance statements, which run under mu_. A statement holds its
+  /// set's shared_ptr, so AbortSession may drop the entry meanwhile.
+  std::mutex shipped_mu_;
+  std::map<int64_t, std::shared_ptr<exec::TupleVidSet>> shipped_;
 
   // MVCC state (DESIGN.md §12). The snapshot manager and lock registry are
   // internally synchronized; txn_snapshot_ (the open transaction's pinned

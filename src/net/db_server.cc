@@ -237,6 +237,9 @@ std::string DbServer::ExecuteDeduped(const DbRequest& request,
     for (const storage::Value& v : request.params) v.Serialize(&w);
     dedup_sql.append(w.TakeData());
   }
+  // An answer with elided values is only valid for a client that asked for
+  // one.
+  if (request.elide_shipped_values) dedup_sql.push_back('\x1e');
   const DedupKey key{request.process_id, request.query_id,
                      std::move(dedup_sql)};
   if (use_dedup) {

@@ -71,6 +71,7 @@ std::string EncodeRequest(const DbRequest& request) {
   w.PutVarint(request.timeout_millis);
   w.PutString(request.handle);
   EncodeTuple(request.params, &w);
+  if (request.elide_shipped_values) w.PutBool(true);
   return w.TakeData();
 }
 
@@ -102,6 +103,10 @@ Result<DbRequest> DecodeRequest(std::string_view bytes) {
   }
   if (r.remaining() > 0) {
     LDV_ASSIGN_OR_RETURN(request.params, DecodeTuple(&r));
+  }
+  // Written only when set (see DbRequest::elide_shipped_values).
+  if (r.remaining() > 0) {
+    LDV_ASSIGN_OR_RETURN(request.elide_shipped_values, r.GetBool());
   }
   return request;
 }

@@ -78,6 +78,13 @@ struct DbRequest {
   /// Parameter values bound by kExecute, in placeholder order. Encoded as a
   /// trailing count + serialized values, absent on old frames.
   storage::Tuple params;
+  /// Ship each provenance tuple's values once per session: records of
+  /// versions this session was already sent come back without values
+  /// (DESIGN.md §17). Only the auditing client sets it, in server-included
+  /// mode. Encoded as a trailing bool written only when set, so frames
+  /// without it (old clients, recorded replay logs) decode as false and
+  /// keep their bytes.
+  bool elide_shipped_values = false;
 };
 
 /// Binary encoding of requests/responses (varint-based, little-endian).

@@ -409,6 +409,38 @@ TEST_F(AuditReplayTest, ServerIncludedRefusesStatementsItCannotCapture) {
   EXPECT_TRUE(excluded_report.ok()) << excluded_report.status().ToString();
 }
 
+// Prepared statements sent as protocol verbs: an EXECUTE request carries a
+// handle and parameters but no statement text, so the auditing client
+// classifies the verbs by request kind instead of parsing them.
+TEST_F(AuditReplayTest, ServerExcludedAuditsProtocolVerbPreparedStatements) {
+  auto app = [](std::vector<uint64_t>* answers) -> AppFn {
+    return [answers](AppEnv& env) -> Status {
+      LDV_ASSIGN_OR_RETURN(net::DbClient * db,
+                           env.OpenDbConnection(env.root_process()));
+      LDV_RETURN_IF_ERROR(net::PrepareStatement(
+          db, "p", "SELECT id, val FROM items WHERE val > ?"));
+      for (int64_t bound : {35, 75}) {
+        LDV_ASSIGN_OR_RETURN(exec::ResultSet r,
+                             net::ExecutePrepared(db, "p", {Value::Int(bound)}));
+        answers->push_back(r.Fingerprint());
+      }
+      return net::DeallocatePrepared(db, "p");
+    };
+  };
+  std::vector<uint64_t> audited;
+  Auditor auditor(db_.get(), Options(PackageMode::kServerExcluded, "verbs"));
+  auto report = auditor.Run(app(&audited));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->statements_audited, 4);
+  ASSERT_EQ(audited.size(), 2u);
+  EXPECT_NE(audited[0], audited[1]);
+
+  std::vector<uint64_t> replayed;
+  auto replay = ReplayPackage("verbs", app(&replayed));
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replayed, audited);
+}
+
 // An UPDATE and a DELETE whose WHERE holds an IN-subquery over another
 // table: the subquery's tuples are part of the statements' provenance, so
 // they are packaged, and replay reproduces the audited answers.

@@ -4,14 +4,17 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 
+#include <map>
 #include <thread>
 
+#include "ldv/auditor.h"
 #include "net/db_client.h"
 #include "net/db_server.h"
 #include "net/protocol.h"
 #include "net/retrying_db_client.h"
 #include "obs/span.h"
 #include "util/fsutil.h"
+#include "util/strings.h"
 
 namespace ldv::net {
 namespace {
@@ -498,6 +501,387 @@ TEST(SocketDbClientTest, MovedFromClientReportsClosed) {
   EXPECT_FALSE(moved.Query("SELECT 1").ok());
   server.Stop();
   ASSERT_TRUE(RemoveAll(*dir).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Shipping provenance values once per session (DESIGN.md §17).
+// ---------------------------------------------------------------------------
+
+/// What an auditor learns from a stream of provenance answers on one or
+/// more connections: the first values received per tuple version. A record
+/// without values must name a version received before.
+struct ReceivedValues {
+  std::map<std::string, storage::Tuple> values;  // vid -> first values
+  int64_t with_values = 0;
+  int64_t without_values = 0;
+  std::vector<std::string> unknown_elided;
+  std::vector<std::string> received_twice;
+
+  void Take(const exec::ResultSet& answer) {
+    for (const exec::ProvTupleRecord& rec : answer.prov_tuples) {
+      const std::string vid = rec.vid.ToString();
+      if (rec.values.empty()) {
+        ++without_values;
+        if (!values.contains(vid)) unknown_elided.push_back(vid);
+        continue;
+      }
+      ++with_values;
+      if (!values.emplace(vid, rec.values).second) {
+        received_twice.push_back(vid);
+      }
+    }
+  }
+};
+
+/// The auditing client's request: PROVENANCE with the elision bit.
+DbRequest ElidedRequest(const std::string& sql, int64_t query_id) {
+  DbRequest request;
+  request.sql = sql;
+  request.process_id = 11;
+  request.query_id = query_id;
+  request.elide_shipped_values = true;
+  return request;
+}
+
+class NetShippedValuesTest : public DbServerTest {
+ protected:
+  void SetUp() override {
+    DbServerTest::SetUp();
+    auto setup = SocketDbClient::Connect(server_->socket_path());
+    ASSERT_TRUE(setup.ok());
+    ASSERT_TRUE((*setup)->Query("CREATE TABLE t (a INT, b TEXT)").ok());
+    ASSERT_TRUE((*setup)
+                    ->Query("INSERT INTO t VALUES (1, 'x'), (2, 'y'), "
+                            "(3, 'z'), (4, 'w')")
+                    .ok());
+  }
+
+  std::unique_ptr<SocketDbClient> Connect() {
+    auto client = SocketDbClient::Connect(server_->socket_path());
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    return client.ok() ? std::move(*client) : nullptr;
+  }
+
+  int64_t next_query_id_ = 0;
+};
+
+TEST(ProtocolTest, ElisionBitRoundTripsAndIsAbsentWhenUnset) {
+  DbRequest request;
+  request.sql = "PROVENANCE SELECT * FROM t";
+  const std::string plain = EncodeRequest(request);
+  auto decoded = DecodeRequest(plain);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_FALSE(decoded->elide_shipped_values);
+  // Unset, the frame keeps the bytes it had before the bit existed (so do
+  // recorded replay logs).
+  request.elide_shipped_values = true;
+  const std::string elided = EncodeRequest(request);
+  EXPECT_EQ(elided.size(), plain.size() + 1);
+  EXPECT_EQ(elided.substr(0, plain.size()), plain);
+  decoded = DecodeRequest(elided);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(decoded->elide_shipped_values);
+}
+
+TEST_F(NetShippedValuesTest, RepeatedVersionsComeBackWithoutValues) {
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  const std::string sql = "PROVENANCE SELECT b FROM t WHERE a >= 2";
+  ReceivedValues received;
+  auto first = client->Execute(ElidedRequest(sql, ++next_query_id_));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->prov_tuples.size(), 3u);
+  for (const exec::ProvTupleRecord& rec : first->prov_tuples) {
+    EXPECT_EQ(rec.table, "t");
+    EXPECT_EQ(rec.values.size(), 2u);
+  }
+  received.Take(*first);
+
+  // Same versions again: vids and tables only. Rows and lineage unchanged.
+  auto second = client->Execute(ElidedRequest(sql, ++next_query_id_));
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->prov_tuples.size(), 3u);
+  for (const exec::ProvTupleRecord& rec : second->prov_tuples) {
+    EXPECT_EQ(rec.table, "t");
+    EXPECT_TRUE(rec.values.empty()) << rec.vid.ToString();
+  }
+  EXPECT_EQ(second->rows, first->rows);
+  EXPECT_EQ(second->lineage, first->lineage);
+  received.Take(*second);
+
+  // An UPDATE creates a new version of row 3: only it carries values next.
+  ASSERT_TRUE(client->Query("UPDATE t SET b = 'v' WHERE a = 3").ok());
+  auto third = client->Execute(ElidedRequest(sql, ++next_query_id_));
+  ASSERT_TRUE(third.ok());
+  ASSERT_EQ(third->prov_tuples.size(), 3u);
+  int with_values = 0;
+  for (const exec::ProvTupleRecord& rec : third->prov_tuples) {
+    if (rec.values.empty()) continue;
+    ++with_values;
+    EXPECT_EQ(rec.values[1].AsString(), "v");
+  }
+  EXPECT_EQ(with_values, 1);
+  received.Take(*third);
+  EXPECT_TRUE(received.unknown_elided.empty());
+  EXPECT_TRUE(received.received_twice.empty());
+  EXPECT_EQ(received.values.size(), 4u);
+}
+
+TEST_F(NetShippedValuesTest, ReconnectGetsEveryValueAgain) {
+  const std::string sql = "PROVENANCE SELECT a FROM t";
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Execute(ElidedRequest(sql, ++next_query_id_)).ok());
+  client->Close();
+  client = Connect();
+  ASSERT_NE(client, nullptr);
+  auto again = client->Execute(ElidedRequest(sql, ++next_query_id_));
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_EQ(again->prov_tuples.size(), 4u);
+  for (const exec::ProvTupleRecord& rec : again->prov_tuples) {
+    EXPECT_EQ(rec.values.size(), 2u) << rec.vid.ToString();
+  }
+}
+
+TEST_F(NetShippedValuesTest, AnswersWithoutTheBitAreUnchanged) {
+  const std::string sql = "PROVENANCE SELECT a, b FROM t WHERE a <> 2";
+  DbRequest plain;
+  plain.sql = sql;
+  plain.process_id = 11;
+  plain.query_id = 500;
+  // The in-process engine never saw the bit: the reference answer.
+  auto reference = engine_->Execute(plain);
+  ASSERT_TRUE(reference.ok());
+  const std::string want = EncodeResponse(Status::Ok(), *reference);
+
+  auto client = Connect();
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Execute(ElidedRequest(sql, ++next_query_id_)).ok());
+  // The session has been sent every value, yet a request without the bit
+  // gets them all, byte for byte as before.
+  auto answer = client->Execute(plain);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(EncodeResponse(Status::Ok(), *answer), want);
+  for (const exec::ProvTupleRecord& rec : answer->prov_tuples) {
+    EXPECT_EQ(rec.values.size(), 2u);
+  }
+}
+
+/// A connection driven frame by frame, so that a test can drop an answer
+/// or hang up with a request in flight.
+class RawSession {
+ public:
+  explicit RawSession(const std::string& path)
+      : fd_(::socket(AF_UNIX, SOCK_STREAM, 0)) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      Close();
+    }
+  }
+  ~RawSession() { Close(); }
+
+  bool connected() const { return fd_ >= 0; }
+  Status Send(const DbRequest& request) {
+    return SendFrame(fd_, EncodeRequest(request));
+  }
+  Result<exec::ResultSet> Receive() {
+    LDV_ASSIGN_OR_RETURN(std::string frame, RecvFrame(fd_));
+    return DecodeResponse(frame);
+  }
+  Result<exec::ResultSet> Execute(const DbRequest& request) {
+    LDV_RETURN_IF_ERROR(Send(request));
+    return Receive();
+  }
+  void Close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_;
+};
+
+TEST_F(NetShippedValuesTest, DedupReplayOnANewConnectionLosesNoValues) {
+  ReceivedValues received;
+  RawSession lost_session(server_->socket_path());
+  ASSERT_TRUE(lost_session.connected());
+  auto first = lost_session.Execute(
+      ElidedRequest("PROVENANCE SELECT b FROM t WHERE a <= 2", 1));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  received.Take(*first);
+
+  // The next answer is produced, recorded for dedup and sent, then lost:
+  // the client drops it and the connection.
+  const DbRequest lost = ElidedRequest("PROVENANCE SELECT b FROM t", 2);
+  ASSERT_TRUE(lost_session.Send(lost).ok());
+  ASSERT_TRUE(lost_session.Receive().ok());
+  lost_session.Close();
+
+  // The retry on a new connection is answered from the dedup cache. That
+  // answer elides what the lost session had been sent, which the client
+  // holds, and carries the rest.
+  const int64_t deduped = server_->deduped_requests();
+  auto retry = Connect();
+  ASSERT_NE(retry, nullptr);
+  auto replayed = retry->Execute(lost);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(server_->deduped_requests(), deduped + 1);
+  received.Take(*replayed);
+  EXPECT_EQ(received.without_values, 2);
+  EXPECT_TRUE(received.unknown_elided.empty());
+  EXPECT_EQ(received.values.size(), 4u);
+
+  // The new connection's own session was sent nothing: a fresh statement
+  // carries every value again.
+  auto fresh = retry->Execute(ElidedRequest("PROVENANCE SELECT b FROM t", 3));
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(fresh->prov_tuples.size(), 4u);
+  for (const exec::ProvTupleRecord& rec : fresh->prov_tuples) {
+    EXPECT_FALSE(rec.values.empty()) << rec.vid.ToString();
+  }
+}
+
+TEST_F(NetShippedValuesTest, ConcurrentSessionsReceiveEveryValueOnce) {
+  // 8 sessions read the table under provenance while half of them also
+  // update rows (new versions) and one hangs up midway with a request in
+  // flight. Every surviving session must receive each version's values
+  // exactly once, and never an elision of a version it was not sent.
+  constexpr int kSessions = 8;
+  constexpr int kRounds = 12;
+  constexpr int kDropper = 3;
+  std::vector<ReceivedValues> received(kSessions);
+  std::vector<std::string> errors(kSessions);
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s) {
+    threads.emplace_back([&, s] {
+      RawSession session(server_->socket_path());
+      if (!session.connected()) {
+        errors[s] = "connect failed";
+        return;
+      }
+      for (int round = 0; round < kRounds; ++round) {
+        DbRequest request = ElidedRequest("PROVENANCE SELECT * FROM t",
+                                          round + 1);
+        request.process_id = 100 + s;
+        if (s == kDropper && round == kRounds / 2) {
+          (void)session.Send(request);
+          session.Close();
+          return;
+        }
+        if (s % 2 == 0 && round % 3 == 1) {
+          DbRequest update;
+          update.sql = StrFormat("UPDATE t SET b = 's%d r%d' WHERE a = %d", s,
+                                 round, 1 + (s / 2 + round) % 4);
+          auto updated = session.Execute(update);
+          if (!updated.ok()) {
+            errors[s] = updated.status().ToString();
+            return;
+          }
+        }
+        auto answer = session.Execute(request);
+        if (!answer.ok()) {
+          errors[s] = answer.status().ToString();
+          return;
+        }
+        if (answer->prov_tuples.size() != 4) {
+          errors[s] = "expected 4 provenance records";
+          return;
+        }
+        received[s].Take(*answer);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int s = 0; s < kSessions; ++s) {
+    SCOPED_TRACE("session " + std::to_string(s));
+    EXPECT_EQ(errors[s], "");
+    if (s == kDropper) continue;
+    EXPECT_TRUE(received[s].unknown_elided.empty());
+    EXPECT_TRUE(received[s].received_twice.empty());
+    EXPECT_EQ(received[s].with_values + received[s].without_values,
+              4 * kRounds);
+    EXPECT_GE(received[s].without_values, 1);
+  }
+}
+
+/// A backend that answers every request with one provenance record whose
+/// values are missing, for a tuple the auditor was never sent: what a
+/// server with a stale shipped-values set would produce.
+class ForgedElisionServer {
+ public:
+  explicit ForgedElisionServer(std::string path) : path_(std::move(path)) {
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(listen_fd_, 4), 0);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~ForgedElisionServer() {
+    thread_.join();
+    ::close(listen_fd_);
+  }
+
+ private:
+  void Serve() {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    if (fd < 0) return;
+    while (true) {
+      Result<std::string> frame = RecvFrame(fd);
+      if (!frame.ok()) break;
+      exec::ResultSet answer;
+      answer.schema = storage::Schema({{"a", storage::ValueType::kInt64}});
+      answer.rows.push_back({Value::Int(1)});
+      answer.affected = 1;
+      answer.has_provenance = true;
+      const storage::TupleVid vid{0, 7, 3};
+      answer.lineage.push_back({vid});
+      exec::ProvTupleRecord rec;
+      rec.vid = vid;
+      rec.table = "t";
+      answer.prov_tuples.push_back(rec);
+      if (!SendFrame(fd, EncodeResponse(Status::Ok(), answer)).ok()) break;
+    }
+    ::close(fd);
+  }
+
+  std::string path_;
+  int listen_fd_ = -1;
+  std::thread thread_;
+};
+
+TEST(NetForgedElisionTest, AuditFailsNamingTheTuple) {
+  auto dir = MakeTempDir("ldv_forged_");
+  ASSERT_TRUE(dir.ok());
+  Database db;
+  ASSERT_TRUE(db.CreateTable("t", storage::Schema(
+                                      {{"a", storage::ValueType::kInt64}}))
+                  .ok());
+  Result<AuditReport> report = Status::Internal("not run");
+  {
+    ForgedElisionServer server(*dir + "/forged.sock");
+    AuditOptions options;
+    options.mode = PackageMode::kServerIncluded;
+    options.package_dir = *dir + "/pkg";
+    options.sandbox_root = *dir;
+    options.db_socket_path = *dir + "/forged.sock";
+    Auditor auditor(&db, options);
+    report = auditor.Run([](AppEnv& env) -> Status {
+      LDV_ASSIGN_OR_RETURN(net::DbClient * client,
+                           env.OpenDbConnection(env.root_process()));
+      return client->Query("SELECT a FROM t").status();
+    });
+  }
+  ASSERT_TRUE(RemoveAll(*dir).ok());
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("tuple t rowid 7 version 3"),
+            std::string::npos)
+      << report.status().ToString();
 }
 
 }  // namespace

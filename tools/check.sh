@@ -129,7 +129,7 @@ if [[ "$TSAN" == 1 ]]; then
   # -R must precede the bare -j: ctest would otherwise swallow it as the
   # job count and silently run the whole (mostly unbuilt) suite.
   (cd build-tsan && ctest --output-on-failure --timeout 240 \
-    -R 'ThreadPool|Parallel|Vectorized|ExecSelect|ExecFeatures|ExecDml|Lineage|Net|Txn|Governance|Mvcc|SharedMutex|SnapshotManager|Prepared|Normalize|Repl' -j)
+    -R 'ThreadPool|Parallel|Vectorized|ExecSelect|ExecFeatures|ExecDml|Lineage|Net|Protocol|EngineHandle|DbServer|SocketDbClient|Txn|Governance|Mvcc|SharedMutex|SnapshotManager|Prepared|Normalize|Repl' -j)
 fi
 
 echo "check.sh: plain and sanitizer suites both passed"
